@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-tensor bench-overlap bench-serve bench-load \
+.PHONY: build test test-matrix race vet bench-build bench bench-tensor bench-overlap bench-serve bench-load \
 	bench-transport bench-fleet bench-e2e bench-e2e-smoke launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
@@ -10,6 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Tier-1 at every core count CI runs it at: the allocation guards, the
+# kernel pool and the collectives behave differently once work fans out.
+# -count=1: the test cache does not key on GOMAXPROCS.
+test-matrix:
+	for p in 1 2 4; do echo "== GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
+
 # Race-check the packages where goroutines share state: the kernel
 # worker pool, the layers that reuse forward/backward buffers, the MPI
 # substrate's abort/fault machinery, the Horovod layer, the multi-rank
@@ -17,12 +23,18 @@ test:
 # loader's producer/consumer handoff, and the wire transport + launch
 # rendezvous (writer/reader goroutines per link, concurrent mesh
 # handshakes), and the fleet router (concurrent proxying, health
-# probes, and the pause-gated reload wave).
+# probes, and the pause-gated reload wave), and the process supervisor
+# (reapers racing Stop).
 race:
-	$(GO) test -race ./internal/tensor ./internal/nn ./internal/mpi ./internal/horovod ./internal/candle ./internal/serve ./internal/dataload ./internal/transport ./internal/launch ./internal/fleet
+	$(GO) test -race ./internal/tensor ./internal/nn ./internal/mpi ./internal/horovod ./internal/candle ./internal/serve ./internal/dataload ./internal/transport ./internal/launch ./internal/fleet ./internal/proc
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark is the driver's gate and calls internal/ APIs directly;
+# name it explicitly so breaking one of them fails here, not there.
+bench-build:
+	$(GO) vet ./benchmark && $(GO) build -o /dev/null ./benchmark
 
 # Kernel and layer-step micro-benchmarks (the numbers recorded in
 # BENCH_tensor.json).
@@ -53,10 +65,11 @@ bench-load:
 bench-transport:
 	BENCH_TRANSPORT_OUT=$(CURDIR)/BENCH_transport.json $(GO) test -count=1 -run TestWriteTransportBench -v ./internal/launch
 
-# Multi-process smoke: 2 spawned worker processes x 2 ranks over unix
-# sockets, pinned seed, bit-identical to the 4-rank in-process run.
+# Multi-process smoke: `candle launch` spawns 2 `candle run` worker
+# processes x 2 ranks over unix sockets, pinned seed, bit-identical to
+# the 4-rank in-process run.
 launch-smoke:
-	$(GO) test -count=1 -run TestLaunchSmokeBitIdentical -v ./cmd/candle-launch
+	$(GO) test -count=1 -run TestLaunchSmokeBitIdentical -v ./cmd/candle
 
 # Open-loop fleet load test at 1/2/4 replicas plus the
 # kill-a-replica-under-load run; regenerates BENCH_fleet.json.
@@ -66,7 +79,7 @@ bench-fleet:
 # End-to-end time/energy-to-accuracy sweep: real training for every
 # pilot × {engine, ranks, overlap, dtype} grid point, phase split from
 # the trace timeline, modeled joules; regenerates BENCH_e2e.json —
-# the artifact candle-advise -from-bench recommends from.
+# the artifact candle advise -from-bench recommends from.
 bench-e2e:
 	BENCH_E2E_OUT=$(CURDIR)/BENCH_e2e.json $(GO) test -count=1 -timeout 600s -run TestWriteE2EBench -v ./internal/e2ebench
 
@@ -74,18 +87,19 @@ bench-e2e:
 bench-e2e-smoke:
 	BENCH_E2E_SMOKE=1 BENCH_E2E_OUT=/tmp/BENCH_e2e.json $(GO) test -count=1 -run TestWriteE2EBench -v ./internal/e2ebench
 
-# Replicated-serving smoke: candle-fleet spawns 2 real replica
-# processes, one is SIGKILLed under live load (zero failed admitted
-# requests), the supervisor respawns it, SIGTERM drains the fleet.
+# Replicated-serving smoke: `candle fleet` spawns 2 real `candle serve`
+# replica processes, one is SIGKILLed under live load (zero failed
+# admitted requests), it is respawned into its slot, SIGTERM drains the
+# fleet.
 fleet-smoke:
-	$(GO) test -count=1 -run TestFleetSmoke -v ./cmd/candle-fleet
+	$(GO) test -count=1 -run TestFleetSmoke -v ./cmd/candle
 
-# Seeded scenario simulation (cmd/candle-sim): each seed draws a full
+# Seeded scenario simulation (candle sim): each seed draws a full
 # run configuration — pilot, ranks, engine, precision, overlap, fault
 # plan, checkpoint cadence — and checks the machine-verified invariants
 # (determinism, checkpoint import/export, fault outcomes, overlap and
 # dtype equivalences) under a deadlock watchdog. A failing seed prints
-# its repro: candle-sim -seed N -verbose.
+# its repro: candle sim -seed N -verbose.
 SIM_SEED ?= 42
 SEEDS ?= 25
 SIM_START_SEED ?= 1
@@ -93,21 +107,21 @@ SIM_START_SEED ?= 1
 # One pinned seed, full invariant suite, under the race detector:
 # CI-fast and deterministic.
 sim-smoke:
-	$(GO) run -race ./cmd/candle-sim -seed $(SIM_SEED)
+	$(GO) run -race ./cmd/candle sim -seed $(SIM_SEED)
 
 # Sweep $(SEEDS) consecutive seeds from $(SIM_START_SEED), fail-fast
 # with the failing seed echoed.
 sim-multi-seed:
-	$(GO) run ./cmd/candle-sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED)
+	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED)
 
 # Focused sweeps over one invariant family each.
 sim-nondeterminism:
-	$(GO) run ./cmd/candle-sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check determinism
+	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check determinism
 
 sim-import-export:
-	$(GO) run ./cmd/candle-sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check import-export
+	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check import-export
 
 sim-transport:
-	$(GO) run ./cmd/candle-sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check transport
+	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check transport
 
-ci: build test race vet sim-smoke launch-smoke fleet-smoke bench-e2e-smoke
+ci: build test-matrix race vet bench-build sim-smoke launch-smoke fleet-smoke bench-e2e-smoke

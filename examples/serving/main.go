@@ -75,7 +75,7 @@ func main() {
 
 	// 3. Fire 32 concurrent clients, 50 predictions each, through the
 	// in-process engine (the HTTP layer is a thin codec over the same
-	// call — see cmd/candle-serve).
+	// call — see `candle serve`).
 	row := make([]float64, bench.Spec.Features)
 	var wg sync.WaitGroup
 	for c := 0; c < 32; c++ {

@@ -2,7 +2,7 @@
 // artifacts. Every harness historically emitted its own ad-hoc JSON
 // document; this package fixes the envelope — a versioned schema tag, a
 // prose description, the measurement environment, and a typed metrics
-// payload — so tools (candle-report, candle-advise -from-bench, CI
+// payload — so tools (candle report, candle advise -from-bench, CI
 // validators) can load any benchmark file, reject what they do not
 // understand with a typed error, and decode the payload they do.
 //

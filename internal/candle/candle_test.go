@@ -219,6 +219,7 @@ func TestRunValidatesConfig(t *testing.T) {
 }
 
 func TestAllFourBenchmarksTrainEndToEnd(t *testing.T) {
+	restoreWorkerBudget(t) // the parallel subtests' Runs overlap
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {

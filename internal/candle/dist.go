@@ -67,7 +67,7 @@ func (b *Benchmark) runDistributed(cfg RunConfig) (*RunResult, error) {
 //
 // cfg.Ranks is the total world size and must divide evenly by procs.
 // With cfg.Elastic, a generation that fails with a rank failure is
-// retried the way candle-launch retries it: the proc hosting the
+// retried the way candle launch retries it: the proc hosting the
 // failed rank is dropped, the survivors rendezvous again as generation
 // g+1 with forceResume, and consumed faults stay consumed.
 func (b *Benchmark) RunMultiProc(cfg RunConfig, procs int) (*RunResult, error) {

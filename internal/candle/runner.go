@@ -83,7 +83,7 @@ type RunConfig struct {
 	// epochs, replaying the uninterrupted run's per-epoch RNG streams
 	// and checkpoint numbering. With optimizer state in the snapshot
 	// this makes interrupted-and-resumed ≡ uninterrupted, bit for bit
-	// — the invariant candle-sim checks.
+	// — the invariant candle sim checks.
 	Continue bool
 	// ParameterServer trains with the centralized gRPC-style baseline
 	// instead of the Horovod allreduce optimizer.
@@ -108,7 +108,7 @@ type RunConfig struct {
 	// this process one worker of a multi-process world whose
 	// cross-process links run over internal/transport connections.
 	Transport string
-	// Rendezvous is the control-plane address of the candle-launch
+	// Rendezvous is the control-plane address of the candle launch
 	// rendezvous server. Setting it switches Run into distributed
 	// worker mode: Ranks is then the expected total world size and
 	// LocalRanks the share this process hosts.
@@ -128,7 +128,7 @@ type RunConfig struct {
 	Generation int
 	// KeepWeights records every rank's full final weight vector in its
 	// RankResult. Off by default: it is a full model copy per rank,
-	// wanted only by bit-identity checks like candle-sim's.
+	// wanted only by bit-identity checks like candle sim's.
 	KeepWeights bool
 	// TrackEpochs records a per-epoch trajectory in rank 0's
 	// RankResult: the run clock at each epoch end plus the model's test
@@ -176,7 +176,7 @@ func (cfg *RunConfig) Validate() error {
 			return fmt.Errorf("candle: proc index must be non-negative, got %d", cfg.ProcIndex)
 		}
 		if cfg.Elastic {
-			return fmt.Errorf("candle: elastic restarts in distributed mode belong to the launcher; run candle-launch -elastic instead")
+			return fmt.Errorf("candle: elastic restarts in distributed mode belong to the launcher; run candle launch -elastic instead")
 		}
 	} else {
 		if cfg.LocalRanks > 0 {

@@ -9,6 +9,20 @@ import (
 	"candle/internal/tensor"
 )
 
+// restoreWorkerBudget is for tests that overlap Runs inside one
+// process. Each Run saves and restores tensor's process-global kernel
+// budget, and overlapping pairs interleave — A saves n, B saves A's
+// n/ranks, A restores n, B restores n/ranks — leaving every later test
+// in the package on a shrunken budget; that, not Run, is what failed
+// TestRunBoundsKernelGoroutines in full-package runs off one core.
+// Real workers are separate processes. Until the pool is a value owned
+// by the run (ROADMAP), such tests put the budget back themselves, after
+// their subtests finish.
+func restoreWorkerBudget(t *testing.T) {
+	prev := tensor.Workers()
+	t.Cleanup(func() { tensor.SetWorkers(prev) })
+}
+
 // TestRunBoundsKernelGoroutines runs a 4-rank training and asserts the
 // process-wide goroutine count stays bounded: the rank goroutines plus
 // the fixed tensor worker budget, never a per-kernel spawn. Before the

@@ -21,7 +21,7 @@ import (
 // ExtraExperiments returns drivers for studies beyond the paper's
 // figures: the ablations DESIGN.md §7 calls out, rendered as tables.
 // They are not part of RunAll (xchunk measures real I/O on the host
-// and is therefore not deterministic); candle-sweep exposes them by
+// and is therefore not deterministic); candle sweep exposes them by
 // ID.
 func ExtraExperiments() []Experiment {
 	return []Experiment{

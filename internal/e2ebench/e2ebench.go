@@ -13,9 +13,9 @@
 // solution, not step throughput, is the metric for scientific ML; Wu
 // et al. extend that to energy. This harness productizes both: its
 // output is one schema-versioned BENCH_e2e.json (internal/bench
-// envelope, kind "e2e") that candle-report renders as a comparison
+// envelope, kind "e2e") that candle report renders as a comparison
 // table and internal/advisor fits a measured Calibration from, so
-// `candle-advise -from-bench BENCH_e2e.json` recommends configurations
+// `candle advise -from-bench BENCH_e2e.json` recommends configurations
 // from data this machine actually produced instead of the paper's
 // analytic tables.
 package e2ebench

@@ -8,7 +8,7 @@ import (
 
 // Tables renders the metrics as comparison tables, one per pilot: each
 // row is one measured configuration with its time/energy-to-target and
-// phase split. This is what `candle-report -e2e BENCH_e2e.json` prints.
+// phase split. This is what `candle report -e2e BENCH_e2e.json` prints.
 func Tables(m *Metrics) []*report.Table {
 	var out []*report.Table
 	for i := range m.Pilots {

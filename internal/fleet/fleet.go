@@ -1,5 +1,5 @@
 // Package fleet replicates the serving tier: a stateless HTTP router
-// in front of N candle-serve replica processes. It is the serving
+// in front of N candle serve replica processes. It is the serving
 // analogue of the paper's multi-node scaling study — where training
 // scales by adding Horovod ranks behind a rendezvous, serving scales
 // by adding replicas behind a router — and it borrows the same

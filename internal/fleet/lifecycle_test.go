@@ -60,7 +60,7 @@ func lcCorruptCkpt(t *testing.T, dir string, epoch int) {
 
 // realReplica is a live serve.Server behind an httptest listener
 // (which can sever its client connections, standing in for an abrupt
-// process death in-process; cmd/candle-fleet's smoke test does it
+// process death in-process; `candle fleet`'s smoke test does it
 // with a real SIGKILL).
 type realReplica struct {
 	id  string

@@ -278,7 +278,7 @@ func writeRouteErr(w http.ResponseWriter, e *routeError) {
 }
 
 // Serve answers HTTP on ln until Shutdown; the blocking entry point
-// cmd/candle-fleet uses. Unlike serve.Server, the router needs no
+// `candle fleet` uses. Unlike serve.Server, the router needs no
 // drain choreography — proxied requests hold nothing but the pause
 // read lock.
 func (r *Router) Serve(ln net.Listener) error {

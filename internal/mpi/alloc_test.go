@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// maxStrayAllocsPerOp is the guards' threshold. The counter is the
+// process-wide malloc count, so with more than one P it also sees what
+// the runtime allocates while four rank goroutines block and wake on
+// channels (sudogs, timers, a test-framework goroutine): 0 at
+// GOMAXPROCS=1, up to 0.08 objects/op measured at 2 and 4, and
+// ROADMAP records 0.1–0.3 for the segmented ring. The defect the
+// guards exist to catch — a make() per operation in any rank — reads
+// at least 1.0, so 0.5 separates the two at every core count.
+const maxStrayAllocsPerOp = 0.5
+
 // measureAllocsPerOp runs op on every rank of a fresh world — warm
 // iterations first, then rounds measured iterations — and returns the
 // process-wide heap allocations per measured operation. All ranks run
@@ -57,8 +67,7 @@ func measureAllocsPerOp(t *testing.T, size, warm, rounds int, op func(c *Comm) e
 // collectives on the training hot path, mirroring the layer-step guard
 // in internal/nn/alloc_test.go: once the link scratch rings are warm,
 // Barrier, Broadcast, AllreduceSum/Mean, and AllgatherInto must not
-// allocate. The threshold tolerates a stray runtime allocation (sudog
-// caching, timer wheel) but fails on any per-step make().
+// allocate.
 func TestHotCollectivesAllocationFree(t *testing.T) {
 	const size = 4
 	// Per-rank buffers: collectives mutate the caller's slice, so
@@ -88,8 +97,8 @@ func TestHotCollectivesAllocationFree(t *testing.T) {
 			// than scratchSlabs warm ops would leave cold slabs to be
 			// allocated inside the measured window.
 			allocs := measureAllocsPerOp(t, size, scratchSlabs+2, 100, tc.op)
-			if allocs > 0.05 {
-				t.Fatalf("%s allocated %.3f objects/op across %d ranks, want 0", tc.name, allocs, size)
+			if allocs >= maxStrayAllocsPerOp {
+				t.Fatalf("%s allocated %.3f objects/op across %d ranks, want < %v", tc.name, allocs, size, maxStrayAllocsPerOp)
 			}
 		})
 	}
@@ -107,8 +116,8 @@ func TestLargeAllreduceAllocationFree(t *testing.T) {
 	allocs := measureAllocsPerOp(t, size, 3, 20, func(c *Comm) error {
 		return c.AllreduceSum(bufs[c.Rank()])
 	})
-	if allocs > 0.05 {
-		t.Fatalf("segmented AllreduceSum allocated %.3f objects/op, want 0", allocs)
+	if allocs >= maxStrayAllocsPerOp {
+		t.Fatalf("segmented AllreduceSum allocated %.3f objects/op, want < %v", allocs, maxStrayAllocsPerOp)
 	}
 }
 

@@ -11,8 +11,12 @@ import (
 // the kernel layer is built for: once a Dense layer has run a
 // forward+backward at a given batch size (warming its reusable
 // buffers and the arena's size classes), further steps at that batch
-// size stay at or under 2 allocations.
+// size stay at or under 2 allocations. Like the other step guards it
+// pins the kernel pool to one worker: the claim is about the serial
+// path, and each kernel the pool fans out costs 2 more objects
+// (bounded by tensor.TestParallelDispatchAllocs).
 func TestDenseStepAllocationFree(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(7))
 	d := NewDense(64)
 	if _, err := d.Build(rng, 128); err != nil {
@@ -37,6 +41,7 @@ func TestDenseStepAllocationFree(t *testing.T) {
 // path NT3 trains: im2col patches, matmul, bias, and the backward
 // scatter must all reuse their buffers.
 func TestConvStepAllocationsBounded(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(8))
 	c := NewConv1DStrided(8, 5, 4, 1, true)
 	if _, err := c.Build(rng, 32*4); err != nil {

@@ -19,6 +19,7 @@ import (
 // The race target still runs the fused step itself through the f32
 // correctness tests in f32_test.go.
 func TestF32DenseStepAllocationFree(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(19))
 	d := NewDense(64)
 	d.setDType(tensor.F32)

@@ -8,7 +8,7 @@ import (
 )
 
 // Chart renders a horizontal ASCII bar chart of one numeric series —
-// a terminal stand-in for the paper's figures, so candle-sweep can
+// a terminal stand-in for the paper's figures, so candle sweep can
 // show the *shape* (who wins, where the crossover falls) without a
 // plotting stack.
 type Chart struct {

@@ -51,7 +51,7 @@ func AllChecks() Checks {
 	return Checks{Determinism: true, Overlap: true, DType: true, ImportExport: true, Transport: true}
 }
 
-// ParseChecks maps a candle-sim -check flag value onto a selection.
+// ParseChecks maps a candle sim -check flag value onto a selection.
 func ParseChecks(name string) (Checks, error) {
 	switch name {
 	case "", "all":
@@ -98,7 +98,7 @@ func (v *Violation) Unwrap() error { return v.Err }
 
 // ReproLine is the command that replays a failing seed.
 func ReproLine(seed int64) string {
-	return fmt.Sprintf("repro: candle-sim -seed %d -verbose", seed)
+	return fmt.Sprintf("repro: candle sim -seed %d -verbose", seed)
 }
 
 // Harness executes scenarios and checks invariants. The zero value is

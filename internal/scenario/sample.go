@@ -1,5 +1,5 @@
 // Package scenario is the seeded randomized simulation harness behind
-// cmd/candle-sim: from a single int64 seed it deterministically draws a
+// `candle sim`: from a single int64 seed it deterministically draws a
 // full run configuration across the config space the repo has grown —
 // pilot × ranks × batch × engine × overlap × precision × fusion ×
 // parameter-server × fault plan × elastic × checkpoint cadence ×
@@ -7,7 +7,7 @@
 // executes it under a deadlock watchdog, and asserts machine-checked
 // invariants (determinism, checkpoint round-trip, fault outcome,
 // overlap/dtype equivalences). A failing seed reproduces with
-// `candle-sim -seed N -verbose`; the shrinker minimizes its fault plan.
+// `candle sim -seed N -verbose`; the shrinker minimizes its fault plan.
 //
 // This is the sims.mk pattern: a directed test sweep cannot cover the
 // cross product of six PRs' features, but a sampler plus invariants
@@ -55,7 +55,7 @@ func (f FaultSpec) aborts() bool { return f.Kind != "delay" }
 
 // Scenario is one fully drawn run configuration. Everything the run
 // does follows from these fields plus the seed; Sample(seed) is a pure
-// function, which is what makes "candle-sim -seed N" a complete repro.
+// function, which is what makes "candle sim -seed N" a complete repro.
 type Scenario struct {
 	Seed            int64
 	Pilot           string // NT3, P1B1, P1B2, P1B3

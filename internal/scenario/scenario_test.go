@@ -137,7 +137,7 @@ func quickScenario(faults ...FaultSpec) Scenario {
 // harness itself: wrap the real runner with a bug that swallows the
 // typed rank-failure error, and the fault-outcome invariant must flag
 // it — a scripted kill fired, Elastic is off, yet the run "completed"
-// — and the failure must print a candle-sim repro line.
+// — and the failure must print a candle sim repro line.
 func TestPlantedViolationIsCaught(t *testing.T) {
 	h := &Harness{
 		Timeout: time.Minute,
@@ -161,7 +161,7 @@ func TestPlantedViolationIsCaught(t *testing.T) {
 	if v.Invariant != "fault-outcome" {
 		t.Fatalf("violation filed under %q, want fault-outcome: %v", v.Invariant, v)
 	}
-	if !strings.Contains(err.Error(), "candle-sim -seed 7") {
+	if !strings.Contains(err.Error(), "candle sim -seed 7") {
 		t.Fatalf("violation lacks the repro line: %v", err)
 	}
 }

@@ -295,12 +295,19 @@ func (s *Server) writeErr(w http.ResponseWriter, e *apiError) {
 }
 
 // Serve answers HTTP on the listener until Shutdown (or a listener
-// error). It is the blocking entry point cmd/candle-serve uses.
+// error). It is the blocking entry point `candle serve` uses. A
+// Shutdown that ran before Serve registered its http.Server found
+// nothing to stop, so Serve checks for it and closes the listener
+// itself instead of serving a drained engine forever.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	s.httpMu.Lock()
 	s.httpSrv = srv
+	draining := s.draining.Load()
 	s.httpMu.Unlock()
+	if draining {
+		return ln.Close()
+	}
 	err := srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

@@ -99,9 +99,6 @@ type Config struct {
 	// ReloadEvery is the checkpoint poll cadence (default 2s;
 	// negative disables the reload loop).
 	ReloadEvery time.Duration
-	// Workers, when positive, bounds the process-wide tensor kernel
-	// pool (tensor.SetWorkers) that all replicas share.
-	Workers int
 }
 
 func (c *Config) applyDefaults() error {
@@ -289,9 +286,6 @@ type replicaSet struct {
 func New(cfg Config) (*Server, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers > 0 {
-		tensor.SetWorkers(cfg.Workers)
 	}
 	s := &Server{
 		cfg:     cfg,

@@ -307,6 +307,43 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdownReturns: a SIGTERM can land between "the
+// listener is up" and the goroutine that calls Serve getting to run, so
+// Shutdown sees no http.Server to stop. Serve must then return at once
+// (closing the listener) rather than serve a drained engine forever —
+// `candle serve` waits for it before exiting.
+func TestServeAfterShutdownReturns(t *testing.T) {
+	dir := t.TempDir()
+	writeCkpt(t, dir, 1, 1)
+	s, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Shutdown is still serving")
+	}
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
 // ---- HTTP tests ----------------------------------------------------
 
 func startHTTP(t *testing.T, s *Server) string {

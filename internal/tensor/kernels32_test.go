@@ -213,8 +213,11 @@ func TestArena32ReusesBuffers(t *testing.T) {
 }
 
 // TestKernels32WarmAllocFree: a warmed packed matmul must not allocate
-// (the packing scratch is pooled).
+// (the packing scratch is pooled). The claim is about the serial path,
+// so the test pins the pool to one worker; TestParallelDispatchAllocs
+// bounds what a dispatched kernel costs on top.
 func TestKernels32WarmAllocFree(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
 	rng := rand.New(rand.NewSource(24))
 	a := RandNormal32(rng, 64, 300, 1)
 	b := RandNormal32(rng, 300, 80, 1)
