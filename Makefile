@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-matrix race vet bench-build bench bench-tensor bench-overlap bench-serve bench-load \
+.PHONY: build test test-matrix race vet loc bench-build bench bench-tensor bench-overlap bench-serve bench-load \
 	bench-transport bench-fleet bench-e2e bench-e2e-smoke launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
@@ -16,20 +16,16 @@ test:
 test-matrix:
 	for p in 1 2 4; do echo "== GOMAXPROCS=$$p"; GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
 
-# Race-check the packages where goroutines share state: the kernel
-# worker pool, the layers that reuse forward/backward buffers, the MPI
-# substrate's abort/fault machinery, the Horovod layer, the multi-rank
-# runner that drives them all concurrently, the streaming sharded
-# loader's producer/consumer handoff, and the wire transport + launch
-# rendezvous (writer/reader goroutines per link, concurrent mesh
-# handshakes), and the fleet router (concurrent proxying, health
-# probes, and the pause-gated reload wave), and the process supervisor
-# (reapers racing Stop).
 race:
-	$(GO) test -race ./internal/tensor ./internal/nn ./internal/mpi ./internal/horovod ./internal/candle ./internal/serve ./internal/dataload ./internal/transport ./internal/launch ./internal/fleet ./internal/proc
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...
+
+# Lines of Go that are code: no tests, comments or blanks, and not the
+# benchmark (which measures the program and is not part of it).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -Ev '^[[:space:]]*(//|$$)' | wc -l
 
 # The benchmark is the driver's gate and calls internal/ APIs directly;
 # name it explicitly so breaking one of them fails here, not there.

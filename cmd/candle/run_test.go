@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"candle/internal/candle"
-	"candle/internal/tensor"
 )
 
 func TestRunSimMode(t *testing.T) {
@@ -30,9 +29,6 @@ func TestRunRealMode(t *testing.T) {
 // round at the agreed address — and prepare the shared CSVs — while a
 // second `candle run` joins the same address and only reads them.
 func TestRunRealServeRendezvous(t *testing.T) {
-	// Two workers in one process interleave their save/restore of the
-	// global kernel budget; put it back for the tests that follow.
-	defer tensor.SetWorkers(tensor.Workers())
 	addr := filepath.Join(t.TempDir(), "rdv.sock")
 	dataDir := t.TempDir()
 	worker := func(proc string, extra ...string) []string {

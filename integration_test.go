@@ -131,9 +131,13 @@ func TestEndToEndAdvisorAgainstSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loader, err := sim.LoaderByName(best.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := sim.Run(sim.Config{
 		Machine: hpc.Summit(), Bench: b, Ranks: best.Workers,
-		Scaling: sim.Strong, Batch: best.Batch, Loader: best.Loader,
+		Scaling: sim.Strong, Batch: best.Batch, Loader: loader,
 	})
 	if err != nil {
 		t.Fatal(err)

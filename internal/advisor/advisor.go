@@ -79,14 +79,9 @@ type Request struct {
 
 // Plan is one feasible configuration with its predicted outcome.
 type Plan struct {
-	Workers int
-	Batch   int
-	// Engine is the loader/engine name; Loader is its sim enum when one
-	// of the three classic loaders, kept for existing callers (a
-	// measured engine outside that set maps to LoaderNaive — read
-	// Engine, not Loader, when exact identity matters).
-	Engine   string
-	Loader   sim.Loader
+	Workers  int
+	Batch    int
+	Engine   string // loader/engine name
 	Strategy string // "fixed", "linear", "sqrt", "cbrt", "measured"
 	Overlap  bool   // measured plans: async gradient pipeline
 	DType    string // measured plans: compute precision
@@ -99,9 +94,6 @@ type Plan struct {
 
 func (p Plan) String() string {
 	engine := p.Engine
-	if engine == "" {
-		engine = p.Loader.String()
-	}
 	if p.Overlap {
 		engine += "+overlap"
 	}
@@ -136,8 +128,7 @@ func Recommend(req Request) (best Plan, candidates []Plan, err error) {
 			continue
 		}
 		p := Plan{
-			Workers: c.Workers, Batch: c.Batch,
-			Engine: c.Engine, Loader: loaderByName(c.Engine),
+			Workers: c.Workers, Batch: c.Batch, Engine: c.Engine,
 			Strategy: c.Strategy, Overlap: c.Overlap, DType: c.DType,
 			TimeS: out.TimeS, EnergyJ: out.EnergyJ,
 			Accuracy: out.Accuracy, Loss: out.Loss,

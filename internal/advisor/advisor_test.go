@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"candle/internal/hpc"
-	"candle/internal/sim"
 )
 
 func TestRecommendNT3MinTimeRespectsAccuracyFloor(t *testing.T) {
@@ -25,8 +24,8 @@ func TestRecommendNT3MinTimeRespectsAccuracyFloor(t *testing.T) {
 	if best.Workers != 48 {
 		t.Fatalf("best workers = %d, want 48 (accuracy cliff)", best.Workers)
 	}
-	if best.Loader != sim.LoaderChunked {
-		t.Fatalf("best loader = %v, want chunked", best.Loader)
+	if best.Engine != "chunked" {
+		t.Fatalf("best loader = %v, want chunked", best.Engine)
 	}
 	if best.Accuracy < 0.99 {
 		t.Fatalf("best accuracy %v below floor", best.Accuracy)
@@ -77,8 +76,8 @@ func TestRecommendChunkedAlwaysWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if best.Loader != sim.LoaderChunked {
-			t.Fatalf("%s: best loader %v, want chunked", bench, best.Loader)
+		if best.Engine != "chunked" {
+			t.Fatalf("%s: best loader %v, want chunked", bench, best.Engine)
 		}
 	}
 }
@@ -142,7 +141,7 @@ func TestRecommendMaxWorkersCap(t *testing.T) {
 }
 
 func TestPlanAndObjectiveStrings(t *testing.T) {
-	p := Plan{Workers: 48, Batch: 20, Loader: sim.LoaderChunked, Strategy: "fixed",
+	p := Plan{Workers: 48, Batch: 20, Engine: "chunked", Strategy: "fixed",
 		TimeS: 185.7, EnergyJ: 1.2e6, Accuracy: 0.992}
 	s := p.String()
 	if !strings.Contains(s, "48 workers") || !strings.Contains(s, "chunked") {

@@ -106,24 +106,17 @@ func (Analytic) Candidates(bench sim.BenchCal, req Request) []Candidate {
 
 // Predict implements Calibration by running the simulator.
 func (Analytic) Predict(req Request, bench sim.BenchCal, c Candidate) (Outcome, error) {
+	loader, err := sim.LoaderByName(c.Engine)
+	if err != nil {
+		return Outcome{}, err
+	}
 	r, err := sim.Run(sim.Config{
 		Machine: req.Machine, Bench: bench, Ranks: c.Workers,
 		Scaling: sim.Strong, Epochs: req.Epochs, Batch: c.Batch,
-		Loader: loaderByName(c.Engine),
+		Loader: loader,
 	})
 	if err != nil {
 		return Outcome{}, err
 	}
 	return Outcome{TimeS: r.TotalTime, EnergyJ: r.TotalEnergyJ, Accuracy: r.Accuracy, Loss: r.Loss}, nil
-}
-
-// loaderByName maps an engine name back to the sim loader enum;
-// unknown names fall back to naive (Analytic only emits known ones).
-func loaderByName(name string) sim.Loader {
-	for _, l := range analyticLoaders {
-		if l.String() == name {
-			return l
-		}
-	}
-	return sim.LoaderNaive
 }

@@ -53,7 +53,7 @@ func legacyRecommend(req Request) (best Plan, candidates []Plan, err error) {
 					continue
 				}
 				p := Plan{
-					Workers: n, Batch: r.Batch, Loader: loader, Strategy: strat,
+					Workers: n, Batch: r.Batch, Engine: loader.String(), Strategy: strat,
 					TimeS: r.TotalTime, EnergyJ: r.TotalEnergyJ,
 					Accuracy: r.Accuracy, Loss: r.Loss,
 				}
@@ -103,10 +103,9 @@ func TestAnalyticMatchesLegacySweep(t *testing.T) {
 	}
 }
 
-// plansEqual ignores the new Engine field (legacy plans predate it) but
-// compares everything the legacy sweep produced, exactly.
+// plansEqual compares everything the legacy sweep produced, exactly.
 func plansEqual(a, b Plan) bool {
-	return a.Workers == b.Workers && a.Batch == b.Batch && a.Loader == b.Loader &&
+	return a.Workers == b.Workers && a.Batch == b.Batch && a.Engine == b.Engine &&
 		a.Strategy == b.Strategy && a.TimeS == b.TimeS && a.EnergyJ == b.EnergyJ &&
 		a.Accuracy == b.Accuracy && a.Loss == b.Loss
 }

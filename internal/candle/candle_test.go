@@ -219,7 +219,6 @@ func TestRunValidatesConfig(t *testing.T) {
 }
 
 func TestAllFourBenchmarksTrainEndToEnd(t *testing.T) {
-	restoreWorkerBudget(t) // the parallel subtests' Runs overlap
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {

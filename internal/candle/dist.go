@@ -3,14 +3,11 @@ package candle
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
-	"candle/internal/horovod"
 	"candle/internal/launch"
 	"candle/internal/mpi"
-	"candle/internal/tensor"
 )
 
 // runDistributed is Run's worker-process path: join the rendezvous,
@@ -46,7 +43,7 @@ func (b *Benchmark) runDistributed(cfg RunConfig) (*RunResult, error) {
 	if cfg.Faults != nil {
 		world.InjectFaults(cfg.Faults)
 	}
-	results, err := b.runOnWorld(cfg, world, false, true)
+	results, err := b.runOnWorld(cfg, world, false)
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +95,6 @@ func (b *Benchmark) RunMultiProc(cfg RunConfig, procs int) (*RunResult, error) {
 	if err := probe.Validate(); err != nil {
 		return nil, err
 	}
-
-	// One process-wide kernel-worker budget for all sessions: the
-	// sessions share this machine exactly like the in-process world's
-	// ranks do.
-	prevWorkers := tensor.SetWorkers(max(1, runtime.GOMAXPROCS(0)/cfg.Ranks))
-	defer tensor.SetWorkers(prevWorkers)
 
 	ranksPerProc := cfg.Ranks / procs
 	size := cfg.Ranks
@@ -176,7 +167,7 @@ func (b *Benchmark) multiProcAttempt(cfg RunConfig, transportName string, procs,
 			wcfg.Elastic = false
 			// Elastic generations resume from the shared checkpoint
 			// directory, mirroring runAttempt's forceResume.
-			perProc[p], errs[p] = b.runOnWorld(wcfg, world, gen > 0, false)
+			perProc[p], errs[p] = b.runOnWorld(wcfg, world, gen > 0)
 		}(p, sess)
 	}
 	wg.Wait()
@@ -203,11 +194,4 @@ func (b *Benchmark) multiProcAttempt(cfg RunConfig, transportName string, procs,
 		all = append(all, rs...)
 	}
 	return all, nil
-}
-
-// CompEpochsForWorld exposes the strong-scaling epoch division for a
-// given world size — what each rank of a distributed run will train —
-// so launchers can report totals without re-deriving the policy.
-func CompEpochsForWorld(totalEpochs, worldSize int) int {
-	return horovod.CompEpochsBalanced(totalEpochs, worldSize)
 }

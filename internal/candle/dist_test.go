@@ -38,7 +38,6 @@ func smallCfg(dir string) RunConfig {
 // bit-identical weights to the 4-rank in-process run with the same
 // seed.
 func TestDistributedBitIdenticalToInProcess(t *testing.T) {
-	restoreWorkerBudget(t) // two "worker processes" Run in this one
 	b, dir := prepareSmall(t)
 	want, err := b.Run(smallCfg(dir))
 	if err != nil {

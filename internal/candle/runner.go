@@ -3,7 +3,6 @@ package candle
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -348,7 +347,7 @@ func (b *Benchmark) runAttempt(cfg RunConfig, ranks int, forceResume bool) ([]Ra
 	if cfg.Faults != nil {
 		world.InjectFaults(cfg.Faults)
 	}
-	return b.runOnWorld(cfg, world, forceResume, true)
+	return b.runOnWorld(cfg, world, forceResume)
 }
 
 // runOnWorld runs the three benchmark phases on an already-built world
@@ -357,10 +356,14 @@ func (b *Benchmark) runAttempt(cfg RunConfig, ranks int, forceResume bool) ([]Ra
 // (world size, rank, seed), so the same config produces bit-identical
 // weights whether the world lives in one process or several. It
 // returns results for the locally hosted ranks, ascending.
-// setWorkers=false leaves the tensor worker budget alone, for callers
-// hosting several worlds in one process (RunMultiProc) that set a
-// process-wide budget themselves.
-func (b *Benchmark) runOnWorld(cfg RunConfig, world *mpi.World, forceResume, setWorkers bool) ([]RankResult, error) {
+//
+// Each local rank is one goroutine driving tensor kernels. They share
+// tensor's worker pool, which is sized to GOMAXPROCS once and is a hard
+// budget (a busy pool makes the caller compute its own rows), so R
+// ranks never fan out to R×GOMAXPROCS kernel goroutines — the
+// oversubscription the paper flags on shared nodes — and nothing here
+// resizes it.
+func (b *Benchmark) runOnWorld(cfg RunConfig, world *mpi.World, forceResume bool) ([]RankResult, error) {
 	ranks := world.Size()
 	locals := world.LocalRanks()
 	batch := cfg.Batch
@@ -372,16 +375,6 @@ func (b *Benchmark) runOnWorld(cfg RunConfig, world *mpi.World, forceResume, set
 		epochsPerRank = horovod.CompEpochsBalanced(cfg.TotalEpochs, ranks)
 	}
 	trainPath, testPath := b.Files(cfg.DataDir)
-
-	// Each local rank is one goroutine driving tensor kernels; divide
-	// the machine between them instead of letting R ranks each fan out
-	// to GOMAXPROCS kernel goroutines — the oversubscription the paper
-	// flags on shared nodes. The budget is global and restored on
-	// return so nested or subsequent runs see the caller's setting.
-	if setWorkers {
-		prevWorkers := tensor.SetWorkers(max(1, runtime.GOMAXPROCS(0)/len(locals)))
-		defer tensor.SetWorkers(prevWorkers)
-	}
 
 	results := make([]RankResult, ranks)
 	var mu sync.Mutex

@@ -2,6 +2,7 @@ package candle
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,28 +10,17 @@ import (
 	"candle/internal/tensor"
 )
 
-// restoreWorkerBudget is for tests that overlap Runs inside one
-// process. Each Run saves and restores tensor's process-global kernel
-// budget, and overlapping pairs interleave — A saves n, B saves A's
-// n/ranks, A restores n, B restores n/ranks — leaving every later test
-// in the package on a shrunken budget; that, not Run, is what failed
-// TestRunBoundsKernelGoroutines in full-package runs off one core.
-// Real workers are separate processes. Until the pool is a value owned
-// by the run (ROADMAP), such tests put the budget back themselves, after
-// their subtests finish.
-func restoreWorkerBudget(t *testing.T) {
-	prev := tensor.Workers()
-	t.Cleanup(func() { tensor.SetWorkers(prev) })
-}
-
 // TestRunBoundsKernelGoroutines runs a 4-rank training and asserts the
 // process-wide goroutine count stays bounded: the rank goroutines plus
 // the fixed tensor worker budget, never a per-kernel spawn. Before the
 // shared pool, every large matmul spawned its own goroutine set, so a
 // 4-rank run oversubscribed the node — the effect the paper measures
 // as the performance and energy cost of careless intra-op parallelism.
+// The pool is sized once, at init: a Run, and two Runs overlapping in
+// one process, must leave it exactly as they found it.
 func TestRunBoundsKernelGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
+	workers := tensor.Workers()
 
 	var peak atomic.Int64
 	done := make(chan struct{})
@@ -65,8 +55,23 @@ func TestRunBoundsKernelGoroutines(t *testing.T) {
 	if p := peak.Load(); p > budget {
 		t.Fatalf("goroutine peak %d exceeds budget %d (base %d, ranks %d)", p, budget, base, ranks)
 	}
-	// The run must restore the caller's worker budget on return.
-	if w := tensor.Workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("worker budget not restored: %d, want %d", w, runtime.GOMAXPROCS(0))
+	if w := tensor.Workers(); w != workers {
+		t.Fatalf("a Run resized the kernel pool: %d workers, was %d", w, workers)
+	}
+
+	b, dir := prepareSmall(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Run(smallCfg(dir)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if w := tensor.Workers(); w != workers {
+		t.Fatalf("two overlapped Runs resized the kernel pool: %d workers, was %d", w, workers)
 	}
 }

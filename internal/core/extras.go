@@ -307,7 +307,7 @@ func ExtraAdvisor() (*report.Table, error) {
 			return nil, err
 		}
 		t.AddRow(tc.bench, tc.objective.String(), tc.note,
-			report.I(best.Workers), report.I(best.Batch), best.Loader.String(),
+			report.I(best.Workers), report.I(best.Batch), best.Engine,
 			report.F(best.TimeS, 1), report.F(best.EnergyJ/1e6, 2))
 	}
 	return t, nil

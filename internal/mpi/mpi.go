@@ -156,10 +156,6 @@ func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
 // MessagesSent returns the total point-to-point messages sent so far.
 func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
 
-// EndpointBytes returns the payload bytes that entered or left the
-// given rank.
-func (w *World) EndpointBytes(rank int) int64 { return w.endpoint[rank].Load() }
-
 // MaxEndpointBytes returns the heaviest per-rank network load — the
 // hotspot metric for centralized communication patterns.
 func (w *World) MaxEndpointBytes() int64 {

@@ -1,57 +1,20 @@
 package nn
 
-import (
-	"math"
+import "candle/internal/tensor"
 
-	"candle/internal/tensor"
-)
-
-// This file is the float32 compute path for the layers that dominate
-// the pilots' step time (Dense and LSTM). The design is mixed
-// precision in the classic sense: float64 master weights, gradients,
-// optimizer state, and collectives, with the forward/backward matmuls
-// and pointwise math running in float32 on per-step demoted shadows.
-// Promotion back to f64 happens only at the Layer interface boundary
-// and when accumulating parameter gradients, so the rest of the stack
-// (losses, optimizers, Horovod, checkpoints) is untouched.
-
-// ensure32 is ensure for float32 buffers.
-func ensure32(buf *tensor.Matrix32, rows, cols int) *tensor.Matrix32 {
-	if buf == nil {
-		return tensor.New32(rows, cols)
-	}
-	if buf.Rows == rows && buf.Cols == cols {
-		return buf
-	}
-	if cap(buf.Data) >= rows*cols {
-		buf.Rows, buf.Cols, buf.Data = rows, cols, buf.Data[:rows*cols]
-		return buf
-	}
-	return tensor.New32(rows, cols)
-}
-
-// ensureVec32 is ensureVec for flat float32 scratch.
-func ensureVec32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
-}
-
-// addGradPromoted accumulates an f32 product into an f64 gradient via
-// a pooled scratch matrix — the f32 analogue of addGrad.
-func addGradPromoted(grad *tensor.Matrix, op func(dst *tensor.Matrix32)) {
-	s := tensor.Get32(grad.Rows, grad.Cols)
-	op(s)
-	for i, v := range s.Data {
-		grad.Data[i] += float64(v)
-	}
-	tensor.Put32(s)
-}
-
-func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(float64(-v)))) }
-
-func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }
+// This file is the float32 compute path of Dense, the layer that
+// dominates the pilots' step time. Fusing bias and activation over
+// demoted shadows is a different algorithm from the f64 path, so Dense
+// keeps a forward and backward of its own here; the LSTM's f32 path is
+// the same recurrence as its f64 one and shares it (lstm.go).
+//
+// The design is mixed precision in the classic sense: float64 master
+// weights, gradients, optimizer state, and collectives, with the
+// forward/backward matmuls and pointwise math running in float32 on
+// per-step demoted shadows. Promotion back to f64 happens only at the
+// Layer interface boundary and when accumulating parameter gradients,
+// so the rest of the stack (losses, optimizers, Horovod, checkpoints)
+// is untouched.
 
 // fuseBiasAct32 applies y = act(y + b) row-wise in one pass — the
 // fused tail of the f32 Dense forward.
@@ -72,14 +35,14 @@ func fuseBiasAct32(m *tensor.Matrix32, bias []float32, kind string) {
 		for i := 0; i < m.Rows; i++ {
 			row := m.Row(i)
 			for j, bv := range bias {
-				row[j] = sigmoid32(row[j] + bv)
+				row[j] = sigmoid(row[j] + bv)
 			}
 		}
 	case "tanh":
 		for i := 0; i < m.Rows; i++ {
 			row := m.Row(i)
 			for j, bv := range bias {
-				row[j] = tanh32(row[j] + bv)
+				row[j] = tanh(row[j] + bv)
 			}
 		}
 	default:
@@ -117,14 +80,14 @@ func (d *Dense) forward32(x *tensor.Matrix) *tensor.Matrix {
 	d.x = x
 	in := d.w.Value.Rows
 	B := x.Rows
-	d.x32 = ensure32(d.x32, B, in)
+	d.x32 = ensure(d.x32, B, in)
 	tensor.DemoteInto(d.x32, x)
-	d.w32 = ensure32(d.w32, in, d.Units)
+	d.w32 = ensure(d.w32, in, d.Units)
 	tensor.DemoteInto(d.w32, d.w.Value)
-	d.b32 = ensure32(d.b32, 1, d.Units)
+	d.b32 = ensure(d.b32, 1, d.Units)
 	tensor.DemoteInto(d.b32, d.b.Value)
-	d.y32 = ensure32(d.y32, B, d.Units)
-	tensor.MatMulInto32(d.y32, d.x32, d.w32)
+	d.y32 = ensure(d.y32, B, d.Units)
+	tensor.MatMulInto(d.y32, d.x32, d.w32)
 	fuseBiasAct32(d.y32, d.b32.Data, d.fuse)
 	d.out = ensure(d.out, B, d.Units)
 	tensor.PromoteInto(d.out, d.y32)
@@ -139,11 +102,11 @@ func (d *Dense) forward32(x *tensor.Matrix) *tensor.Matrix {
 func (d *Dense) backward32(dout *tensor.Matrix) *tensor.Matrix {
 	B := dout.Rows
 	in := d.w.Value.Rows
-	d.dz32 = ensure32(d.dz32, B, d.Units)
+	d.dz32 = ensure(d.dz32, B, d.Units)
 	tensor.DemoteInto(d.dz32, dout)
 	actBackward32(d.dz32, d.y32, d.fuse)
-	addGradPromoted(d.w.Grad, func(dst *tensor.Matrix32) { tensor.TMatMulInto32(dst, d.x32, d.dz32) })
-	d.db32 = ensureVec32(d.db32, d.Units)
+	addGrad(d.w.Grad, func(dst *tensor.Matrix32) { tensor.TMatMulInto(dst, d.x32, d.dz32) })
+	d.db32 = ensureVec(d.db32, d.Units)
 	for j := range d.db32 {
 		d.db32[j] = 0
 	}
@@ -151,157 +114,9 @@ func (d *Dense) backward32(dout *tensor.Matrix) *tensor.Matrix {
 	for j, v := range d.db32 {
 		d.b.Grad.Data[j] += float64(v)
 	}
-	d.dx32 = ensure32(d.dx32, B, in)
-	tensor.MatMulTInto32(d.dx32, d.dz32, d.w32)
+	d.dx32 = ensure(d.dx32, B, in)
+	tensor.MatMulTInto(d.dx32, d.dz32, d.w32)
 	d.dx = ensure(d.dx, B, in)
 	tensor.PromoteInto(d.dx, d.dx32)
 	return d.dx
-}
-
-func (l *LSTM) setDType(dt tensor.DType) { l.dtype = dt }
-
-// ensureSteps32 is ensureSteps for f32 per-step caches.
-func ensureSteps32(s []*tensor.Matrix32, steps, rows, cols int) []*tensor.Matrix32 {
-	if cap(s) >= steps {
-		s = s[:steps]
-	} else {
-		grown := make([]*tensor.Matrix32, steps)
-		copy(grown, s)
-		s = grown
-	}
-	for t := range s {
-		s[t] = ensure32(s[t], rows, cols)
-	}
-	return s
-}
-
-// forward32 runs the recurrence natively in float32: the four gate
-// matmuls stay fused in the 4U-wide products, and the gate
-// nonlinearities, cell update, and hidden update run in one f32 pass
-// per step. Only the final hidden state is promoted.
-func (l *LSTM) forward32(x *tensor.Matrix) *tensor.Matrix {
-	B, U := x.Rows, l.Units
-	l.batch = B
-	l.xin32 = ensure32(l.xin32, B, x.Cols)
-	tensor.DemoteInto(l.xin32, x)
-	l.wx32 = ensure32(l.wx32, l.InDim, 4*U)
-	tensor.DemoteInto(l.wx32, l.wx.Value)
-	l.wh32 = ensure32(l.wh32, U, 4*U)
-	tensor.DemoteInto(l.wh32, l.wh.Value)
-	l.b32 = ensure32(l.b32, 1, 4*U)
-	tensor.DemoteInto(l.b32, l.b.Value)
-
-	l.xs32 = ensureSteps32(l.xs32, l.steps, B, l.InDim)
-	l.is32 = ensureSteps32(l.is32, l.steps, B, U)
-	l.fs32 = ensureSteps32(l.fs32, l.steps, B, U)
-	l.gs32 = ensureSteps32(l.gs32, l.steps, B, U)
-	l.os32 = ensureSteps32(l.os32, l.steps, B, U)
-	l.cs32 = ensureSteps32(l.cs32, l.steps, B, U)
-	l.hs32 = ensureSteps32(l.hs32, l.steps, B, U)
-	l.zero32 = ensure32(l.zero32, B, U)
-	l.zero32.Zero()
-	l.z32 = ensure32(l.z32, B, 4*U)
-	l.zh32 = ensure32(l.zh32, B, 4*U)
-
-	h, c := l.zero32, l.zero32
-	for t := 0; t < l.steps; t++ {
-		xt := l.xs32[t]
-		for r := 0; r < B; r++ {
-			copy(xt.Row(r), l.xin32.Row(r)[t*l.InDim:(t+1)*l.InDim])
-		}
-		z := l.z32
-		tensor.MatMulInto32(z, xt, l.wx32)
-		tensor.MatMulInto32(l.zh32, h, l.wh32)
-		z.Add(l.zh32)
-		z.AddRowVector(l.b32.Data)
-
-		it, ft, gt, ot := l.is32[t], l.fs32[t], l.gs32[t], l.os32[t]
-		cNew, hNew := l.cs32[t], l.hs32[t]
-		for r := 0; r < B; r++ {
-			zr := z.Row(r)
-			cr, crNew := c.Row(r), cNew.Row(r)
-			ir, fr, gr, or := it.Row(r), ft.Row(r), gt.Row(r), ot.Row(r)
-			hr := hNew.Row(r)
-			for u := 0; u < U; u++ {
-				iv := sigmoid32(zr[u])
-				fv := sigmoid32(zr[U+u])
-				gv := tanh32(zr[2*U+u])
-				ov := sigmoid32(zr[3*U+u])
-				ir[u], fr[u], gr[u], or[u] = iv, fv, gv, ov
-				crNew[u] = fv*cr[u] + iv*gv
-				hr[u] = ov * tanh32(crNew[u])
-			}
-		}
-		h, c = hNew, cNew
-	}
-	l.hOut = ensure(l.hOut, B, U)
-	tensor.PromoteInto(l.hOut, h)
-	return l.hOut
-}
-
-// backward32 is the f32 BPTT: per-step gate gradients in one fused
-// pass, parameter gradients promoted into the f64 masters, bias sums
-// accumulated in f32 across all steps and promoted once.
-func (l *LSTM) backward32(dout *tensor.Matrix) *tensor.Matrix {
-	B, U := l.batch, l.Units
-	l.dx32 = ensure32(l.dx32, B, l.steps*l.InDim)
-	l.dh32 = ensure32(l.dh32, B, U)
-	tensor.DemoteInto(l.dh32, dout)
-	l.dc32 = ensure32(l.dc32, B, U)
-	l.dc32.Zero()
-	l.dz32 = ensure32(l.dz32, B, 4*U)
-	l.dxt32 = ensure32(l.dxt32, B, l.InDim)
-	l.db32 = ensureVec32(l.db32, 4*U)
-	for j := range l.db32 {
-		l.db32[j] = 0
-	}
-	dh, dc := l.dh32, l.dc32
-	for t := l.steps - 1; t >= 0; t-- {
-		it, ft, gt, ot := l.is32[t], l.fs32[t], l.gs32[t], l.os32[t]
-		ct := l.cs32[t]
-		cPrev := l.zero32
-		if t > 0 {
-			cPrev = l.cs32[t-1]
-		}
-		dz := l.dz32
-		for r := 0; r < B; r++ {
-			dhr, dcr := dh.Row(r), dc.Row(r)
-			ir, fr, gr, or := it.Row(r), ft.Row(r), gt.Row(r), ot.Row(r)
-			cr, cpr := ct.Row(r), cPrev.Row(r)
-			dzr := dz.Row(r)
-			for u := 0; u < U; u++ {
-				tc := tanh32(cr[u])
-				do := dhr[u] * tc
-				dcTotal := dcr[u] + dhr[u]*or[u]*(1-tc*tc)
-				di := dcTotal * gr[u]
-				df := dcTotal * cpr[u]
-				dg := dcTotal * ir[u]
-				dzr[u] = di * ir[u] * (1 - ir[u])
-				dzr[U+u] = df * fr[u] * (1 - fr[u])
-				dzr[2*U+u] = dg * (1 - gr[u]*gr[u])
-				dzr[3*U+u] = do * or[u] * (1 - or[u])
-				dcr[u] = dcTotal * fr[u] // becomes dC_{t-1}
-			}
-		}
-		addGradPromoted(l.wx.Grad, func(dst *tensor.Matrix32) { tensor.TMatMulInto32(dst, l.xs32[t], dz) })
-		hPrev := l.zero32
-		if t > 0 {
-			hPrev = l.hs32[t-1]
-		}
-		addGradPromoted(l.wh.Grad, func(dst *tensor.Matrix32) { tensor.TMatMulInto32(dst, hPrev, dz) })
-		dz.AccumColSums(l.db32)
-		tensor.MatMulTInto32(l.dxt32, dz, l.wx32)
-		for r := 0; r < B; r++ {
-			copy(l.dx32.Row(r)[t*l.InDim:(t+1)*l.InDim], l.dxt32.Row(r))
-		}
-		// dh was fully consumed above; overwrite in place with the
-		// recurrent gradient for step t-1.
-		tensor.MatMulTInto32(dh, dz, l.wh32)
-	}
-	for j, v := range l.db32 {
-		l.b.Grad.Data[j] += float64(v)
-	}
-	l.dx = ensure(l.dx, B, l.steps*l.InDim)
-	tensor.PromoteInto(l.dx, l.dx32)
-	return l.dx
 }

@@ -40,3 +40,38 @@ func TestF32DenseStepAllocationFree(t *testing.T) {
 		t.Fatalf("warmed fused f32 Dense step did %v allocations, want <= 2", allocs)
 	}
 }
+
+// TestLSTMStepAllocations pins the warmed LSTM forward+backward, in
+// both precisions, to the allocation counts measured when the two
+// paths were separate functions (commit dd66b27): the step caches, the
+// arena scratch behind every weight gradient and the f32 shadows are
+// all reused. It sits in this file for the same sync.Pool reason.
+func TestLSTMStepAllocations(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, tc := range []struct {
+		dtype tensor.DType
+		max   float64
+	}{
+		{tensor.F64, 0},
+		{tensor.F32, 0},
+	} {
+		rng := rand.New(rand.NewSource(23))
+		l := NewLSTM(16, 8)
+		l.setDType(tc.dtype)
+		if _, err := l.Build(rng, 6*8); err != nil { // 6 steps × 8 features
+			t.Fatal(err)
+		}
+		x := tensor.RandNormal(rng, 32, 48, 1)
+		dout := tensor.RandNormal(rng, 32, 16, 1)
+		step := func() {
+			l.Forward(x, true)
+			l.Backward(dout)
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20, step); allocs > tc.max {
+			t.Errorf("warmed %s LSTM step did %v allocations, want <= %v", tc.dtype, allocs, tc.max)
+		}
+	}
+}

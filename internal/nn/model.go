@@ -157,10 +157,6 @@ func (s *Sequential) OutputDim() int { return s.outDim }
 // wrapper can replace or interrogate it).
 func (s *Sequential) Optimizer() Optimizer { return s.opt }
 
-// SetOptimizer swaps the optimizer; this is how Horovod's
-// DistributedOptimizer wraps the original one.
-func (s *Sequential) SetOptimizer(opt Optimizer) { s.opt = opt }
-
 // Params returns every trainable parameter in layer order.
 func (s *Sequential) Params() []*Param { return s.params }
 

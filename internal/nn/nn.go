@@ -39,9 +39,9 @@ func newParam(name string, value *tensor.Matrix) *Param {
 // reusable buffers so a steady-state training step (fixed batch size)
 // allocates nothing. Contents are unspecified: callers must fully
 // overwrite (every Into kernel does) or Zero first.
-func ensure(buf *tensor.Matrix, rows, cols int) *tensor.Matrix {
+func ensure[T tensor.Float](buf *tensor.Mat[T], rows, cols int) *tensor.Mat[T] {
 	if buf == nil {
-		return tensor.New(rows, cols)
+		return tensor.NewMat[T](rows, cols)
 	}
 	if buf.Rows == rows && buf.Cols == cols {
 		return buf
@@ -50,25 +50,28 @@ func ensure(buf *tensor.Matrix, rows, cols int) *tensor.Matrix {
 		buf.Rows, buf.Cols, buf.Data = rows, cols, buf.Data[:rows*cols]
 		return buf
 	}
-	return tensor.New(rows, cols)
+	return tensor.NewMat[T](rows, cols)
 }
 
-// ensureVec is ensure for flat float64 scratch vectors.
-func ensureVec(buf []float64, n int) []float64 {
+// ensureVec is ensure for flat scratch vectors.
+func ensureVec[T tensor.Float](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-// addGrad accumulates op's result into grad without allocating in
-// steady state: the product lands in an arena scratch matrix that is
-// immediately returned to the pool.
-func addGrad(grad *tensor.Matrix, op func(dst *tensor.Matrix)) {
-	s := tensor.Get(grad.Rows, grad.Cols)
+// addGrad accumulates op's result into the f64 gradient grad without
+// allocating in steady state: the product lands in an arena scratch
+// matrix of op's precision, is widened as it is added, and the scratch
+// goes straight back to the pool.
+func addGrad[T tensor.Float](grad *tensor.Matrix, op func(dst *tensor.Mat[T])) {
+	s := tensor.GetMat[T](grad.Rows, grad.Cols)
 	op(s)
-	grad.Add(s)
-	tensor.Put(s)
+	for i, v := range s.Data {
+		grad.Data[i] += float64(v)
+	}
+	tensor.PutMat(s)
 }
 
 // Layer is one stage of a Sequential model. Build is called once with

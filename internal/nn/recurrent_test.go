@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,6 +63,46 @@ func TestGradCheckLSTMSoftmax(t *testing.T) {
 		y.Set(i, i%3, 1)
 	}
 	checkGradients(t, m, CategoricalCrossEntropy{}, x, y, 2e-4)
+}
+
+// TestLSTMWeightsPinned holds the recurrence and BPTT to the bits they
+// produced when the f64 and f32 paths were two hand-written copies
+// (recorded at commit dd66b27): a fixed-seed LSTM(8,3)+Dense(2) trained
+// three steps must end at the same weights in both precisions.
+func TestLSTMWeightsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		dtype tensor.DType
+		want  uint64
+	}{
+		{tensor.F64, 0xc376fa7c7a4b3739},
+		{tensor.F32, 0x134445a8d41f484e},
+	} {
+		m := NewSequential("pinned-lstm", NewLSTM(8, 3), NewDense(2))
+		if err := m.SetDType(tc.dtype); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Compile(4*3, MeanSquaredError{}, NewSGD(0.05), 42); err != nil { // 4 steps × 3 features
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(61))
+		x := tensor.RandNormal(rng, 5, 12, 1)
+		y := tensor.RandNormal(rng, 5, 2, 1)
+		for i := 0; i < 3; i++ {
+			m.TrainBatch(x, y)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, w := range m.WeightsVector() {
+			bits := math.Float64bits(w)
+			for i := range b {
+				b[i] = byte(bits >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s LSTM final-weights checksum = %#x, want %#x", tc.dtype, got, tc.want)
+		}
+	}
 }
 
 func TestLSTMLearnsOrderSensitiveTask(t *testing.T) {

@@ -114,8 +114,10 @@ func (s *Server) dispatch(batch []*Request) {
 func (s *Server) runBatch(rep *replica, batch []*Request) {
 	n := len(batch)
 	dim := s.cfg.InputDim
-	queueWait := time.Since(batch[0].enqueued)
-	s.metrics.phases.Record("queue_wait", queueWait.Seconds())
+	// One clock read prices every member's queue wait; the phase keeps
+	// recording the first (longest-waiting) request's.
+	start := time.Now()
+	s.metrics.phases.Record("queue_wait", start.Sub(batch[0].enqueued).Seconds())
 	s.metrics.batchSize.Observe(float64(n))
 
 	in := tensor.FromSlice(n, dim, rep.buf[:n*dim])
@@ -150,7 +152,7 @@ func (s *Server) runBatch(rep *replica, batch []*Request) {
 		// returns to the pool.
 		p.Pred = append(p.Pred[:0], out.Row(i)...)
 		p.Err = nil
-		p.BatchSize, p.QueueWait = n, queueWait
+		p.BatchSize, p.QueueWait = n, start.Sub(p.enqueued)
 		s.deliver(p)
 	}
 }

@@ -161,6 +161,45 @@ func TestPredictMatchesReferenceUnderBatching(t *testing.T) {
 	}
 }
 
+// TestQueueWaitIsPerRequest: two requests that ride one batch after
+// waiting different times must report different queue waits — each its
+// own, not the first member's.
+func TestQueueWaitIsPerRequest(t *testing.T) {
+	dir := t.TempDir()
+	writeCkpt(t, dir, 1, 42)
+	cfg := testConfig(dir)
+	cfg.MaxBatch, cfg.MaxWait, cfg.Replicas = 2, 10*time.Second, 1
+	s := newTestServer(t, cfg)
+
+	rows := makeRows(rand.New(rand.NewSource(10)), 2)
+	var infos [2]PredictInfo
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, infos[i], errs[i] = s.Predict(rows[i])
+		}(i)
+		if i == 0 {
+			time.Sleep(30 * time.Millisecond)
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if infos[i].BatchSize != 2 {
+			t.Fatalf("request %d rode a batch of %d, want both in one batch", i, infos[i].BatchSize)
+		}
+	}
+	if gap := infos[0].QueueWait - infos[1].QueueWait; gap < 25*time.Millisecond {
+		t.Fatalf("queue waits %v and %v are %v apart, want >= 25ms: submitted 30ms apart into one batch",
+			infos[0].QueueWait, infos[1].QueueWait, gap)
+	}
+}
+
 func TestPredictWrongWidth(t *testing.T) {
 	dir := t.TempDir()
 	writeCkpt(t, dir, 1, 42)

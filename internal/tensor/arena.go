@@ -11,27 +11,40 @@ import (
 // state does near-zero heap allocation regardless of how many batches
 // run.
 
-// arenaClasses[c] holds *Matrix values whose Data has cap exactly
-// 1<<c. 48 classes cover every slice Go can address.
-var arenaClasses [48]sync.Pool
+// scratch is the pooled scratch of one element type.
+type scratch struct {
+	// arena[c] holds *Mat[T] values whose Data has cap exactly 1<<c.
+	// 48 classes cover every slice Go can address.
+	arena [48]sync.Pool
+	pack  sync.Pool // *packBuf[T], the packed driver's panels (pack.go)
+}
+
+var scratch64, scratch32 scratch
+
+func scratchFor[T Float]() *scratch {
+	if is32[T]() {
+		return &scratch32
+	}
+	return &scratch64
+}
 
 // sizeClass returns the bucket whose capacity 1<<c is the smallest
 // power of two ≥ n. n must be > 0.
 func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 
-// Get returns a zeroed rows×cols matrix from the arena, allocating
+// GetMat returns a zeroed rows×cols matrix from the arena, allocating
 // only when no pooled matrix of a suitable class exists. Pair it with
-// Put when the scratch value is dead; matrices from Get are otherwise
-// indistinguishable from New's.
-func Get(rows, cols int) *Matrix {
+// PutMat when the scratch value is dead; matrices from GetMat are
+// otherwise indistinguishable from NewMat's.
+func GetMat[T Float](rows, cols int) *Mat[T] {
 	n := rows * cols
 	if n <= 0 {
-		return New(rows, cols) // validates negative dims, handles empty
+		return NewMat[T](rows, cols) // validates negative dims, handles empty
 	}
 	c := sizeClass(n)
-	m, ok := arenaClasses[c].Get().(*Matrix)
+	m, ok := scratchFor[T]().arena[c].Get().(*Mat[T])
 	if !ok {
-		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<c)}
+		return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, n, 1<<c)}
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:n]
@@ -41,12 +54,18 @@ func Get(rows, cols int) *Matrix {
 	return m
 }
 
-// Put returns a matrix obtained from Get (or any matrix the caller no
-// longer needs) to the arena. The matrix must not be used after Put.
-// Matrices whose capacity is not a power of two — e.g. views from
-// RowSlice or FromSlice wrappers — are dropped rather than pooled, so
-// Put never corrupts a bucket's size invariant.
-func Put(m *Matrix) {
+// Get is GetMat for float64.
+func Get(rows, cols int) *Matrix { return GetMat[float64](rows, cols) }
+
+// Get32 is GetMat for float32.
+func Get32(rows, cols int) *Matrix32 { return GetMat[float32](rows, cols) }
+
+// PutMat returns a matrix obtained from GetMat (or any matrix the
+// caller no longer needs) to the arena. The matrix must not be used
+// after PutMat. Matrices whose capacity is not a power of two — e.g.
+// views from RowSlice or FromSlice wrappers — are dropped rather than
+// pooled, so PutMat never corrupts a bucket's size invariant.
+func PutMat[T Float](m *Mat[T]) {
 	if m == nil || cap(m.Data) == 0 {
 		return
 	}
@@ -55,5 +74,11 @@ func Put(m *Matrix) {
 		return
 	}
 	m.Data = m.Data[:cap(m.Data)]
-	arenaClasses[c].Put(m)
+	scratchFor[T]().arena[c].Put(m)
 }
+
+// Put is PutMat for float64.
+func Put(m *Matrix) { PutMat(m) }
+
+// Put32 is PutMat for float32.
+func Put32(m *Matrix32) { PutMat(m) }

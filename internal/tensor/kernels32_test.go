@@ -212,23 +212,6 @@ func TestArena32ReusesBuffers(t *testing.T) {
 	Put32(Get32(0, 5))
 }
 
-// TestKernels32WarmAllocFree: a warmed packed matmul must not allocate
-// (the packing scratch is pooled). The claim is about the serial path,
-// so the test pins the pool to one worker; TestParallelDispatchAllocs
-// bounds what a dispatched kernel costs on top.
-func TestKernels32WarmAllocFree(t *testing.T) {
-	defer SetWorkers(SetWorkers(1))
-	rng := rand.New(rand.NewSource(24))
-	a := RandNormal32(rng, 64, 300, 1)
-	b := RandNormal32(rng, 300, 80, 1)
-	dst := New32(64, 80)
-	MatMulInto32(dst, a, b) // warm pools
-	allocs := testing.AllocsPerRun(20, func() { MatMulInto32(dst, a, b) })
-	if allocs > 0 {
-		t.Fatalf("warmed MatMulInto32 allocates %.1f times per run", allocs)
-	}
-}
-
 // TestDemotePromote round-trips conversions and checks panics on
 // shape mismatches.
 func TestDemotePromote(t *testing.T) {

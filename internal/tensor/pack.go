@@ -1,19 +1,17 @@
 package tensor
 
-import "sync"
+import "unsafe"
 
-// This file is the second-generation matmul core shared by both
-// precisions: a generic (float32/float64) cache-blocked kernel that
-// packs A and B panels into contiguous scratch buffers and drives them
-// with a register-tiled micro-kernel.
+// This file is the packed matmul driver shared by both precisions: a
+// cache-blocked kernel over T that packs A and B panels into contiguous
+// scratch buffers and drives them with a register-tiled micro-kernel.
 //
 // Layout. The output is computed in jb×kb blocks (packNC × packKC);
 // for each block the kw rows of B are copied into a contiguous kw×jw
 // panel (bPack), and each 4-row strip of A is packed k-major into an
 // interleaved panel (aPack[t*4+r] = A[i+r, kb+t]) so the micro-kernel
-// reads both operands as unit-stride streams regardless of A's
-// original orientation — the same packing serves A and Aᵀ, which is
-// how TMatMulInto shares the kernel.
+// reads both operands as unit-stride streams regardless of either
+// operand's original orientation.
 //
 // Micro-kernel. Each call produces a 4×jw strip of the output: the
 // k-loop is unrolled 4-way, the four active B rows are register-tiled
@@ -22,9 +20,9 @@ import "sync"
 // additions in k-increasing order — bit-exact against the naive
 // triple loop, like every kernel in this package.
 //
-// A entries are addressed as data[i*rowStride + k*colStride], so
-// (cols, 1) walks a row-major A and (1, cols) walks its transpose
-// without materializing it.
+// Entries of A and B are addressed as data[i*rowStride + k*colStride],
+// so (cols, 1) walks a row-major operand and (1, cols) walks its
+// transpose without materializing it.
 
 const (
 	// packMR is the micro-kernel's output strip height.
@@ -43,80 +41,21 @@ type packBuf[T Float] struct {
 	b []T // packKC×packNC contiguous B panel
 }
 
-var (
-	packPool64 = sync.Pool{New: func() any {
-		return &packBuf[float64]{a: make([]float64, packMR*packKC), b: make([]float64, packKC*packNC)}
-	}}
-	packPool32 = sync.Pool{New: func() any {
-		return &packBuf[float32]{a: make([]float32, packMR*packKC), b: make([]float32, packKC*packNC)}
-	}}
-)
-
-// Float is the scalar constraint shared by the generic kernels.
-type Float interface{ ~float32 | ~float64 }
-
 // matMulPackedRange computes rows [lo, hi) of the n-wide output
-// dst = A·B, where A is addressed through (aRow, aCol) strides and B
-// is row-major with stride n. k is the inner dimension. aPack/bPack
-// are the caller's packing scratch (packMR×packKC and packKC×packNC).
-func matMulPackedRange[T Float](dst []T, a []T, aRow, aCol int, b []T, k, n, lo, hi int, aPack, bPack []T) {
-	for i := lo; i < hi; i++ {
-		row := dst[i*n : i*n+n]
-		for j := range row {
-			row[j] = 0
-		}
+// dst = A·B with inner dimension k. Both operands are addressed through
+// (row, col) strides: (ld, 1) walks a row-major operand, (1, ld) walks
+// its transpose, which is how a·b, a·bᵀ and aᵀ·b share this one driver.
+// Full 4-row float32 strips run on the AVX tile when the host has one;
+// it computes bitwise what micro4x does (one multiply and one
+// left-associated add per k term, lanes independent), so the route
+// taken never changes the output.
+func matMulPackedRange[T Float](dst []T, a []T, aRow, aCol int, b []T, bRow, bCol int, k, n, lo, hi int) {
+	pool := &scratchFor[T]().pack
+	pb, ok := pool.Get().(*packBuf[T])
+	if !ok {
+		pb = &packBuf[T]{a: make([]T, packMR*packKC), b: make([]T, packKC*packNC)}
 	}
-	for jb := 0; jb < n; jb += packNC {
-		je := jb + packNC
-		if je > n {
-			je = n
-		}
-		jw := je - jb
-		for kb := 0; kb < k; kb += packKC {
-			ke := kb + packKC
-			if ke > k {
-				ke = k
-			}
-			kw := ke - kb
-			// Pack the B block: kw contiguous jw-wide rows.
-			for t := 0; t < kw; t++ {
-				copy(bPack[t*jw:t*jw+jw], b[(kb+t)*n+jb:(kb+t)*n+je])
-			}
-			for i := lo; i < hi; i += packMR {
-				mr := hi - i
-				if mr > packMR {
-					mr = packMR
-				}
-				// Pack the A strip k-major: aPack[t*4+r] = A[i+r, kb+t].
-				for r := 0; r < mr; r++ {
-					base := (i + r) * aRow
-					for t := 0; t < kw; t++ {
-						aPack[t*packMR+r] = a[base+(kb+t)*aCol]
-					}
-				}
-				if mr == packMR {
-					micro4x(dst[i*n+jb:][:jw], dst[(i+1)*n+jb:][:jw],
-						dst[(i+2)*n+jb:][:jw], dst[(i+3)*n+jb:][:jw],
-						aPack, bPack, kw, jw)
-				} else {
-					for r := 0; r < mr; r++ {
-						micro1x(dst[(i+r)*n+jb:][:jw], aPack, r, bPack, kw, jw)
-					}
-				}
-			}
-		}
-	}
-}
-
-// matMulPackedRange32 is the float32 form of matMulPackedRange with
-// two extra powers: B is addressed through (bRow, bCol) strides like A
-// — (n, 1) walks a row-major B, (1, ldb) walks its transpose, which is
-// how MatMulTInto32 shares this kernel — and full 4-row strips
-// dispatch to the 8-lane AVX micro-kernel when the host supports it.
-// The AVX tile computes bitwise-identical results to micro4x (one
-// multiply and one left-associated add per k term, lanes independent),
-// so the route taken never changes the output.
-func matMulPackedRange32(dst []float32, a []float32, aRow, aCol int, b []float32, bRow, bCol int, k, n, lo, hi int, aPack, bPack []float32) {
+	aPack, bPack := pb.a, pb.b
 	for i := lo; i < hi; i++ {
 		row := dst[i*n : i*n+n]
 		for j := range row {
@@ -153,59 +92,50 @@ func matMulPackedRange32(dst []float32, a []float32, aRow, aCol int, b []float32
 				if mr > packMR {
 					mr = packMR
 				}
+				// Pack the A strip k-major: aPack[t*4+r] = A[i+r, kb+t].
 				for r := 0; r < mr; r++ {
 					base := (i + r) * aRow
 					for t := 0; t < kw; t++ {
 						aPack[t*packMR+r] = a[base+(kb+t)*aCol]
 					}
 				}
-				if mr == packMR {
-					o0 := dst[i*n+jb:][:jw]
-					o1 := dst[(i+1)*n+jb:][:jw]
-					o2 := dst[(i+2)*n+jb:][:jw]
-					o3 := dst[(i+3)*n+jb:][:jw]
-					if useAVX && jw >= 16 {
-						jv := jw &^ 15
-						avx4x16(&o0[0], &o1[0], &o2[0], &o3[0], &aPack[0], &bPack[0], kw, jv, jw)
-						if jv < jw {
-							micro4xTail32(o0, o1, o2, o3, aPack, bPack, kw, jv, jw)
-						}
-					} else {
-						micro4x(o0, o1, o2, o3, aPack, bPack, kw, jw)
-					}
-				} else {
+				if mr < packMR {
 					for r := 0; r < mr; r++ {
 						micro1x(dst[(i+r)*n+jb:][:jw], aPack, r, bPack, kw, jw)
 					}
+					continue
+				}
+				o0 := dst[i*n+jb:][:jw]
+				o1 := dst[(i+1)*n+jb:][:jw]
+				o2 := dst[(i+2)*n+jb:][:jw]
+				o3 := dst[(i+3)*n+jb:][:jw]
+				// jv leading columns go to the 16-wide AVX tile, the
+				// ragged rest (everything, without AVX) to micro4x.
+				jv := 0
+				if is32[T]() && useAVX && jw >= 16 {
+					jv = jw &^ 15
+					avx4x16(asF32(&o0[0]), asF32(&o1[0]), asF32(&o2[0]), asF32(&o3[0]), asF32(&aPack[0]), asF32(&bPack[0]), kw, jv, jw)
+				}
+				if jv < jw {
+					micro4x(o0[jv:], o1[jv:], o2[jv:], o3[jv:], aPack, bPack[jv:], kw, jw)
 				}
 			}
 		}
 	}
+	pool.Put(pb)
 }
 
-// micro4xTail32 finishes the ragged column tail [jv, jw) that the
-// 16-wide AVX tile cannot cover, in the same per-element k-order.
-func micro4xTail32(o0, o1, o2, o3, aPack, bPack []float32, kw, jv, jw int) {
-	for t := 0; t < kw; t++ {
-		ap := aPack[t*packMR : t*packMR+packMR]
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		brow := bPack[t*jw : t*jw+jw]
-		for j := jv; j < jw; j++ {
-			bv := brow[j]
-			o0[j] = o0[j] + a0*bv
-			o1[j] = o1[j] + a1*bv
-			o2[j] = o2[j] + a2*bv
-			o3[j] = o3[j] + a3*bv
-		}
-	}
-}
+// asF32 reinterprets p for the AVX tile; T is float32 at every call.
+func asF32[T Float](p *T) *float32 { return (*float32)(unsafe.Pointer(p)) }
 
-// micro4x accumulates a packed kw-deep panel into four output rows.
-// The k-loop is unrolled 4-way; per iteration the four B rows are
-// loaded once and reused across all four output rows (16 multiply-adds
-// per 4 B loads). Additions are explicit and left-associated so each
-// output element accumulates in exactly naive k-order.
-func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
+// micro4x accumulates a packed kw-deep panel into four output rows of
+// equal length; row t of the panel starts at bPack[t*ldb]. The k-loop
+// is unrolled 4-way; per iteration the four B rows are loaded once and
+// reused across all four output rows (16 multiply-adds per 4 B loads).
+// Additions are explicit and left-associated so each output element
+// accumulates in exactly naive k-order.
+func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, ldb int) {
+	jw := len(o0)
 	kk := 0
 	for ; kk+4 <= kw; kk += 4 {
 		ap := aPack[kk*packMR : kk*packMR+16]
@@ -213,10 +143,10 @@ func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
 		a01, a11, a21, a31 := ap[4], ap[5], ap[6], ap[7]
 		a02, a12, a22, a32 := ap[8], ap[9], ap[10], ap[11]
 		a03, a13, a23, a33 := ap[12], ap[13], ap[14], ap[15]
-		b0 := bPack[kk*jw : kk*jw+jw]
-		b1 := bPack[(kk+1)*jw:][:jw]
-		b2 := bPack[(kk+2)*jw:][:jw]
-		b3 := bPack[(kk+3)*jw:][:jw]
+		b0 := bPack[kk*ldb:][:jw]
+		b1 := bPack[(kk+1)*ldb:][:jw]
+		b2 := bPack[(kk+2)*ldb:][:jw]
+		b3 := bPack[(kk+3)*ldb:][:jw]
 		for j, bv0 := range b0 {
 			bv1, bv2, bv3 := b1[j], b2[j], b3[j]
 			o0[j] = o0[j] + a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
@@ -228,7 +158,7 @@ func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
 	for ; kk < kw; kk++ {
 		ap := aPack[kk*packMR : kk*packMR+packMR]
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		brow := bPack[kk*jw : kk*jw+jw]
+		brow := bPack[kk*ldb:][:jw]
 		for j, bv := range brow {
 			o0[j] = o0[j] + a0*bv
 			o1[j] = o1[j] + a1*bv
@@ -263,62 +193,6 @@ func micro1x[T Float](o []T, aPack []T, r int, bPack []T, kw, jw int) {
 		brow := bPack[kk*jw : kk*jw+jw]
 		for j, bv := range brow {
 			o[j] = o[j] + av*bv
-		}
-	}
-}
-
-// matMulTRangeG is the generic a·bᵀ range kernel (dot-product
-// structure, four output columns per pass over a row of a), shared by
-// the f32 and f64 MatMulT entry points.
-func matMulTRangeG[T Float](dst, a, b []T, k, bRows, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : i*k+k]
-		orow := dst[i*bRows : i*bRows+bRows]
-		j := 0
-		for ; j+4 <= bRows; j += 4 {
-			b0 := b[j*k : j*k+k]
-			b1 := b[(j+1)*k:][:k]
-			b2 := b[(j+2)*k:][:k]
-			b3 := b[(j+3)*k:][:k]
-			var s0, s1, s2, s3 T
-			for kk, av := range arow {
-				s0 = s0 + av*b0[kk]
-				s1 = s1 + av*b1[kk]
-				s2 = s2 + av*b2[kk]
-				s3 = s3 + av*b3[kk]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < bRows; j++ {
-			brow := b[j*k : j*k+k]
-			var s T
-			for kk, av := range arow {
-				s = s + av*brow[kk]
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// transposeRangeG writes output rows [lo, hi) of dst = mᵀ in square
-// tiles, generically over the element type. rows×cols is m's shape.
-func transposeRangeG[T Float](dst, m []T, rows, cols, lo, hi int) {
-	for ib := lo; ib < hi; ib += transposeBlock {
-		ie := ib + transposeBlock
-		if ie > hi {
-			ie = hi
-		}
-		for jb := 0; jb < rows; jb += transposeBlock {
-			je := jb + transposeBlock
-			if je > rows {
-				je = rows
-			}
-			for j := jb; j < je; j++ {
-				row := m[j*cols : j*cols+cols]
-				for i := ib; i < ie; i++ {
-					dst[i*rows+j] = row[i]
-				}
-			}
 		}
 	}
 }

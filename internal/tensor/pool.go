@@ -14,7 +14,7 @@ import (
 // calling goroutine computes itself. Because the pool is global and
 // its size is a hard budget, N concurrent callers (for example the R
 // simulated Horovod ranks in internal/candle) collectively use at most
-// SetWorkers(n) kernel goroutines instead of R×GOMAXPROCS — the
+// GOMAXPROCS kernel goroutines instead of R×GOMAXPROCS — the
 // oversubscription the paper identifies as a first-order runtime and
 // energy effect.
 
@@ -46,11 +46,17 @@ var (
 
 func init() { SetWorkers(runtime.GOMAXPROCS(0)) }
 
-// SetWorkers bounds the aggregate kernel parallelism of the whole
-// process to n goroutines (n-1 persistent pool workers plus the
-// caller) and returns the previous budget. The budget is shared by
-// all concurrent kernel callers; it is not per call. n < 1 is treated
-// as 1, which makes every kernel run serially on its caller.
+// SetWorkers builds the pool: it bounds the aggregate kernel
+// parallelism of the whole process to n goroutines (n-1 persistent
+// pool workers plus the caller) and returns the previous budget. The
+// budget is shared by all concurrent kernel callers; it is not per
+// call. n < 1 is treated as 1, which makes every kernel run serially
+// on its caller.
+//
+// It is the pool's constructor, called once from init with GOMAXPROCS,
+// and the tests' way to pin the serial path (SetWorkers(1), restored).
+// Nothing else resizes the pool: a run hosting R ranks leaves it alone,
+// because a busy pool already makes each caller compute its own rows.
 func SetWorkers(n int) int {
 	if n < 1 {
 		n = 1
@@ -102,7 +108,7 @@ func serialRows(n, work int) bool {
 // flops) is large enough. Chunks the pool cannot accept immediately —
 // because other callers hold the budget — run on the caller, so the
 // call always completes without spawning goroutines and total kernel
-// concurrency stays within the SetWorkers budget.
+// concurrency stays within the pool's budget.
 func parallelRows(n, work int, f func(lo, hi int)) {
 	p := curPool.Load()
 	if work < parallelThreshold || p.size < 2 || n < 2 {

@@ -8,9 +8,19 @@ import (
 // RandNormal returns a rows×cols matrix with N(0, std²) entries drawn
 // from rng, which must not be nil so results stay deterministic.
 func RandNormal(rng *rand.Rand, rows, cols int, std float64) *Matrix {
-	m := New(rows, cols)
+	return randNormal[float64](rng, rows, cols, std)
+}
+
+// RandNormal32 is RandNormal rounded to float32: the same draws from
+// the same rng.
+func RandNormal32(rng *rand.Rand, rows, cols int, std float64) *Matrix32 {
+	return randNormal[float32](rng, rows, cols, std)
+}
+
+func randNormal[T Float](rng *rand.Rand, rows, cols int, std float64) *Mat[T] {
+	m := NewMat[T](rows, cols)
 	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
+		m.Data[i] = T(rng.NormFloat64() * std)
 	}
 	return m
 }
@@ -21,16 +31,6 @@ func RandUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return m
-}
-
-// RandNormal32 returns a rows×cols float32 matrix with N(0, std²)
-// entries drawn from rng.
-func RandNormal32(rng *rand.Rand, rows, cols int, std float64) *Matrix32 {
-	m := New32(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64() * std)
 	}
 	return m
 }

@@ -1,97 +1,125 @@
 // Package tensor provides the dense numeric containers and parallel
 // linear-algebra kernels that the neural-network framework in
-// internal/nn is built on. Everything is float64 and row-major; a
-// Matrix with R rows and C columns stores element (i, j) at
-// Data[i*C+j].
+// internal/nn is built on. There is one matrix type, Mat[T], row-major
+// over float32 or float64: an R×C matrix stores element (i, j) at
+// Data[i*C+j]. Matrix (= Mat[float64]) is what models, optimizers and
+// collectives hold; Matrix32 (= Mat[float32]) is what the F32 compute
+// path demotes into at a layer boundary.
 //
 // The package is deliberately small: matrices, a handful of BLAS-like
 // kernels (matmul, transposed variants, axpy, scale), reductions, and
-// element-wise maps. Three mechanisms make the hot path production
-// grade:
+// element-wise maps, each written once over T. Three mechanisms make
+// the hot path production grade:
 //
 //   - Destination-passing kernels (MatMulInto, MatMulTInto,
 //     TMatMulInto, TransposeInto, ColSumsInto) write caller-owned
 //     matrices so steady-state training steps allocate nothing.
 //   - A sync.Pool-backed scratch arena (Get/Put) recycles temporaries.
-//   - A persistent, globally bounded worker pool (SetWorkers) shares a
-//     fixed goroutine budget across all concurrent kernel callers, so
-//     R rank-goroutines never oversubscribe the machine.
+//   - A persistent worker pool, sized to GOMAXPROCS once at init,
+//     is a hard goroutine budget shared by all concurrent kernel
+//     callers, so R rank-goroutines never oversubscribe the machine.
 //
-// The matmul kernels are cache-blocked (tiled over k and j with 4-way
-// unrolled inner loops) but accumulate each output element in the same
-// order as a naive triple loop, so they are bit-exact against a serial
-// reference on finite inputs.
+// The element type selects only the matmul leaf (kernels.go): float32
+// always runs the packed register-tiled driver in pack.go, with an AVX
+// tile where the host has one; float64 runs the cache-blocked kernels,
+// and the packed driver only for wide aᵀ·b. Every leaf accumulates each
+// output element in the same order as a naive triple loop, so all of
+// them are bit-exact against a serial reference on finite inputs.
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
-// Matrix is a dense row-major float64 matrix.
-type Matrix struct {
+// Float is the element constraint of Mat and every kernel.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix over T.
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// New returns a zeroed rows×cols matrix.
-func New(rows, cols int) *Matrix {
+// Matrix and Matrix32 are the two instantiations in use: float64 for
+// everything a model owns, float32 for the F32 compute path.
+type (
+	Matrix   = Mat[float64]
+	Matrix32 = Mat[float32]
+)
+
+// is32 reports whether T is float32; it is a constant in each
+// instantiation, so branching on it costs nothing at run time.
+func is32[T Float]() bool {
+	var z T
+	return unsafe.Sizeof(z) == 4
+}
+
+// NewMat returns a zeroed rows×cols matrix over T.
+func NewMat[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// New returns a zeroed rows×cols float64 matrix.
+func New(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
+
+// New32 returns a zeroed rows×cols float32 matrix.
+func New32(rows, cols int) *Matrix32 { return NewMat[float32](rows, cols) }
 
 // FromSlice wraps data (not copied) as a rows×cols matrix.
 // len(data) must equal rows*cols.
-func FromSlice(rows, cols int, data []float64) *Matrix {
+func FromSlice[T Float](rows, cols int, data []T) *Mat[T] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: FromSlice size mismatch: %d != %d*%d", len(data), rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: data}
 }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	out := NewMat[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
 // At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Zero sets every element to 0 in place.
-func (m *Matrix) Zero() {
+func (m *Mat[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets every element to v in place.
-func (m *Matrix) Fill(v float64) {
+func (m *Mat[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and n have identical dimensions.
-func (m *Matrix) SameShape(n *Matrix) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
+func (m *Mat[T]) SameShape(n *Mat[T]) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
 
-func (m *Matrix) shapeCheck(n *Matrix, op string) {
+func (m *Mat[T]) shapeCheck(n *Mat[T], op string) {
 	if !m.SameShape(n) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 }
 
 // Add sets m += n in place and returns m.
-func (m *Matrix) Add(n *Matrix) *Matrix {
+func (m *Mat[T]) Add(n *Mat[T]) *Mat[T] {
 	m.shapeCheck(n, "Add")
 	for i, v := range n.Data {
 		m.Data[i] += v
@@ -100,7 +128,7 @@ func (m *Matrix) Add(n *Matrix) *Matrix {
 }
 
 // Sub sets m -= n in place and returns m.
-func (m *Matrix) Sub(n *Matrix) *Matrix {
+func (m *Mat[T]) Sub(n *Mat[T]) *Mat[T] {
 	m.shapeCheck(n, "Sub")
 	for i, v := range n.Data {
 		m.Data[i] -= v
@@ -109,7 +137,7 @@ func (m *Matrix) Sub(n *Matrix) *Matrix {
 }
 
 // MulElem sets m *= n element-wise in place and returns m.
-func (m *Matrix) MulElem(n *Matrix) *Matrix {
+func (m *Mat[T]) MulElem(n *Mat[T]) *Mat[T] {
 	m.shapeCheck(n, "MulElem")
 	for i, v := range n.Data {
 		m.Data[i] *= v
@@ -118,7 +146,7 @@ func (m *Matrix) MulElem(n *Matrix) *Matrix {
 }
 
 // Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
+func (m *Mat[T]) Scale(s T) *Mat[T] {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
@@ -126,7 +154,7 @@ func (m *Matrix) Scale(s float64) *Matrix {
 }
 
 // AXPY sets m += a*n in place and returns m.
-func (m *Matrix) AXPY(a float64, n *Matrix) *Matrix {
+func (m *Mat[T]) AXPY(a T, n *Mat[T]) *Mat[T] {
 	m.shapeCheck(n, "AXPY")
 	for i, v := range n.Data {
 		m.Data[i] += a * v
@@ -135,7 +163,7 @@ func (m *Matrix) AXPY(a float64, n *Matrix) *Matrix {
 }
 
 // Apply replaces each element x with f(x) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
+func (m *Mat[T]) Apply(f func(T) T) *Mat[T] {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
@@ -143,8 +171,8 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 }
 
 // Map returns a new matrix whose elements are f applied to m's.
-func (m *Matrix) Map(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Mat[T]) Map(f func(T) T) *Mat[T] {
+	out := NewMat[T](m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
@@ -152,8 +180,8 @@ func (m *Matrix) Map(f func(float64) float64) *Matrix {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
+func (m *Mat[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
@@ -161,7 +189,7 @@ func (m *Matrix) Sum() float64 {
 }
 
 // Max returns the largest element; it panics on an empty matrix.
-func (m *Matrix) Max() float64 {
+func (m *Mat[T]) Max() T {
 	if len(m.Data) == 0 {
 		panic("tensor: Max of empty matrix")
 	}
@@ -175,18 +203,18 @@ func (m *Matrix) Max() float64 {
 }
 
 // Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
+func (m *Mat[T]) Norm2() float64 {
+	var s T
 	for _, v := range m.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(float64(s))
 }
 
 // AddRowVector adds vector v (length m.Cols) to every row of m in
 // place, in parallel for large matrices (it sits on every Dense and
 // Conv1D forward as the bias add).
-func (m *Matrix) AddRowVector(v []float64) *Matrix {
+func (m *Mat[T]) AddRowVector(v []T) *Mat[T] {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
 	}
@@ -200,7 +228,7 @@ func (m *Matrix) AddRowVector(v []float64) *Matrix {
 	return m
 }
 
-func addRowVectorRange(m *Matrix, v []float64, lo, hi int) {
+func addRowVectorRange[T Float](m *Mat[T], v []T, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)[:len(v)]
 		for j, bv := range v {
@@ -210,8 +238,8 @@ func addRowVectorRange(m *Matrix, v []float64, lo, hi int) {
 }
 
 // ColSums returns a length-Cols vector of per-column sums.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
+func (m *Mat[T]) ColSums() []T {
+	out := make([]T, m.Cols)
 	m.ColSumsInto(out)
 	return out
 }
@@ -221,7 +249,7 @@ func (m *Matrix) ColSums() []float64 {
 // each worker walks the rows but touches only its contiguous column
 // slice, so reads cover the matrix exactly once and writes stay
 // disjoint.
-func (m *Matrix) ColSumsInto(dst []float64) {
+func (m *Mat[T]) ColSumsInto(dst []T) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto length %d != cols %d", len(dst), m.Cols))
 	}
@@ -233,7 +261,7 @@ func (m *Matrix) ColSumsInto(dst []float64) {
 
 // AccumColSums adds per-column sums of m into dst (length m.Cols) —
 // the accumulation the bias-gradient path of every layer needs.
-func (m *Matrix) AccumColSums(dst []float64) {
+func (m *Mat[T]) AccumColSums(dst []T) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: AccumColSums length %d != cols %d", len(dst), m.Cols))
 	}
@@ -246,7 +274,7 @@ func (m *Matrix) AccumColSums(dst []float64) {
 	})
 }
 
-func accumColSumsRange(m *Matrix, dst []float64, lo, hi int) {
+func accumColSumsRange[T Float](m *Mat[T], dst []T, lo, hi int) {
 	out := dst[lo:hi]
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)[lo:hi]
@@ -258,15 +286,15 @@ func accumColSumsRange(m *Matrix, dst []float64, lo, hi int) {
 
 // RowSlice returns a new matrix holding rows [lo, hi) of m. The data
 // is shared with m (a view), so mutations are visible both ways.
-func (m *Matrix) RowSlice(lo, hi int) *Matrix {
+func (m *Mat[T]) RowSlice(lo, hi int) *Mat[T] {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: RowSlice [%d,%d) out of range for %d rows", lo, hi, m.Rows))
 	}
-	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	return &Mat[T]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
 // Equal reports whether m and n are identical in shape and elements.
-func (m *Matrix) Equal(n *Matrix) bool {
+func (m *Mat[T]) Equal(n *Mat[T]) bool {
 	if !m.SameShape(n) {
 		return false
 	}
@@ -279,12 +307,12 @@ func (m *Matrix) Equal(n *Matrix) bool {
 }
 
 // AlmostEqual reports whether m and n agree element-wise within tol.
-func (m *Matrix) AlmostEqual(n *Matrix, tol float64) bool {
+func (m *Mat[T]) AlmostEqual(n *Mat[T], tol float64) bool {
 	if !m.SameShape(n) {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(n.Data[i]-v) > tol {
+		if math.Abs(float64(n.Data[i])-float64(v)) > tol {
 			return false
 		}
 	}
@@ -292,7 +320,7 @@ func (m *Matrix) AlmostEqual(n *Matrix, tol float64) bool {
 }
 
 // String renders small matrices for debugging.
-func (m *Matrix) String() string {
+func (m *Mat[T]) String() string {
 	if m.Rows*m.Cols > 64 {
 		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 	}
@@ -309,4 +337,36 @@ func (m *Matrix) String() string {
 		}
 	}
 	return s + "]"
+}
+
+// Conversions. The F32 path stores f64 master weights (optimizers and
+// collectives stay f64) and demotes at the layer boundary; these are
+// the two directions of that boundary.
+
+// DemoteInto rounds src (f64) into dst (f32). Shapes must match.
+func DemoteInto(dst *Matrix32, src *Matrix) { convertInto(dst, src, "DemoteInto") }
+
+// PromoteInto widens src (f32) into dst (f64). Shapes must match.
+func PromoteInto(dst *Matrix, src *Matrix32) { convertInto(dst, src, "PromoteInto") }
+
+// DemoteSlice rounds src into dst element-wise; lengths must match.
+func DemoteSlice(dst []float32, src []float64) { convertSlice(dst, src, "DemoteSlice") }
+
+// PromoteSlice widens src into dst element-wise; lengths must match.
+func PromoteSlice(dst []float64, src []float32) { convertSlice(dst, src, "PromoteSlice") }
+
+func convertInto[D, S Float](dst *Mat[D], src *Mat[S], op string) {
+	if dst.Rows != src.Rows || dst.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, dst.Rows, dst.Cols, src.Rows, src.Cols))
+	}
+	convertSlice(dst.Data, src.Data, op)
+}
+
+func convertSlice[D, S Float](dst []D, src []S, op string) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: %s length %d != %d", op, len(dst), len(src)))
+	}
+	for i, v := range src {
+		dst[i] = D(v)
+	}
 }
