@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-matrix race vet loc bench-build bench bench-tensor bench-overlap bench-serve bench-load \
+.PHONY: build test test-matrix race vet loc bench-build bench bench-optimizer-smoke bench-tensor bench-overlap bench-serve bench-load \
 	bench-transport bench-fleet bench-e2e bench-e2e-smoke launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
@@ -36,6 +36,11 @@ bench-build:
 # BENCH_tensor.json).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/tensor ./internal/nn
+
+# One iteration of the parameter-update probe: it cannot time anything,
+# it keeps BenchmarkOptimizerStep compiling and running.
+bench-optimizer-smoke:
+	$(GO) test -bench BenchmarkOptimizerStep -benchtime 1x -run '^$$' ./internal/nn
 
 bench-tensor:
 	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTMatMul|BenchmarkDenseStep' -benchmem -run '^$$' ./internal/tensor ./internal/nn
@@ -120,4 +125,4 @@ sim-import-export:
 sim-transport:
 	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check transport
 
-ci: build test-matrix race vet bench-build sim-smoke launch-smoke fleet-smoke bench-e2e-smoke
+ci: build test-matrix race vet bench-build bench-optimizer-smoke sim-smoke launch-smoke fleet-smoke bench-e2e-smoke

@@ -13,7 +13,9 @@ import (
 
 // profileCmd produces an NVProf-style per-layer forward/backward
 // timing profile of a benchmark's model — the per-op view the paper
-// plans to use "to identify the other performance bottlenecks".
+// plans to use "to identify the other performance bottlenecks" — and
+// under it what the layers leave out of a training step: the
+// optimizer's update and the gradient clear, each with its share.
 //
 //	candle profile -bench NT3 -batch 20 -reps 10
 func profileCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
@@ -103,5 +105,11 @@ func runProfile(stdout io.Writer, bench string, batch, reps int, seed int64) err
 	fmt.Fprintln(stdout, model.Summary())
 	fmt.Fprintf(stdout, "per-layer timings, batch %d, %d reps:\n\n", batch, reps)
 	fmt.Fprint(stdout, nn.FormatLayerProfile(timings))
+	step, err := nn.ProfileStep(model, x, y, reps)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nwhole training steps (%s), %d reps:\n\n", model.Optimizer().Name(), reps)
+	fmt.Fprint(stdout, nn.FormatStepProfile(step))
 	return nil
 }

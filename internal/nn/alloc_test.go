@@ -62,6 +62,22 @@ func TestConvStepAllocationsBounded(t *testing.T) {
 	}
 }
 
+// TestOptimizerStepAllocationFree: once every parameter has its state,
+// a serial Step allocates nothing — the driver builds its range closure
+// only when it dispatches — for each optimizer, on parameters above and
+// below the dispatch threshold.
+func TestOptimizerStepAllocationFree(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, tc := range updateCases {
+		opt, params := tc.fresh(), randParams(12, 9, 70000)
+		rng := rand.New(rand.NewSource(13))
+		randStep(opt, params, rng) // creates the state
+		if allocs := testing.AllocsPerRun(20, func() { opt.Step(params) }); allocs > 0 {
+			t.Errorf("warmed serial %s step did %v allocations, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkDenseStep measures one forward+backward through a Dense
 // layer at the two shapes that dominate the paper's Pilot1 runs: the
 // NT3 dense head (batch 20, 1064→128 after the conv stack) and the

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // GradNorm returns the global L2 norm of all accumulated gradients.
 func GradNorm(params []*Param) float64 {
@@ -56,4 +59,26 @@ func (c *ClippedOptimizer) SetLearningRate(lr float64) { c.Base.SetLearningRate(
 func (c *ClippedOptimizer) Step(params []*Param) {
 	c.LastNorm = ClipGradNorm(params, c.MaxNorm)
 	c.Base.Step(params)
+}
+
+// CaptureState implements StatefulOptimizer by delegating to Base:
+// clipping keeps nothing between steps, so the base's moments are the
+// whole resume story, and a checkpoint that dropped them would fork the
+// resumed run.
+func (c *ClippedOptimizer) CaptureState(params []*Param) [][]float64 {
+	if so, ok := c.Base.(StatefulOptimizer); ok {
+		return so.CaptureState(params)
+	}
+	return nil
+}
+
+// RestoreState implements StatefulOptimizer by delegating to Base.
+func (c *ClippedOptimizer) RestoreState(params []*Param, state [][]float64) error {
+	if so, ok := c.Base.(StatefulOptimizer); ok {
+		return so.RestoreState(params, state)
+	}
+	if len(state) > 0 {
+		return fmt.Errorf("nn: base optimizer %s carries no state to restore", c.Base.Name())
+	}
+	return nil
 }

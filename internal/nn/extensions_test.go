@@ -252,4 +252,23 @@ func TestProfileLayers(t *testing.T) {
 	if _, err := ProfileLayers(NewSequential("x", NewDense(2)), MeanSquaredError{}, x, y, 1); err == nil {
 		t.Fatal("uncompiled model accepted")
 	}
+
+	// The step profile: 3 timed steps after the untimed one, the two
+	// parts inside the whole, and a row for each.
+	st, err := ProfileStep(m, x, y, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Steps() != 4 {
+		t.Fatalf("profile ran %d steps, want 4", m.Steps())
+	}
+	if st.ZeroGrads < 0 || st.Optimizer <= 0 || st.ZeroGrads+st.Optimizer >= st.Step {
+		t.Fatalf("step timing parts do not fit inside the step: %+v", st)
+	}
+	if out := FormatStepProfile(st); !strings.Contains(out, "optimizer") || !strings.Contains(out, "zero_grads") {
+		t.Fatalf("step profile output missing rows:\n%s", out)
+	}
+	if _, err := ProfileStep(NewSequential("x", NewDense(2)), x, y, 1); err == nil {
+		t.Fatal("uncompiled model accepted")
+	}
 }

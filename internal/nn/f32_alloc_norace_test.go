@@ -75,3 +75,23 @@ func TestLSTMStepAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizerStepDispatchAllocs bounds a dispatched Step at the price
+// tensor.TestParallelDispatchAllocs fixes for every dispatched kernel:
+// the range closure and its WaitGroup, once per parameter large enough
+// to fan out, and nothing for the small ones.
+func TestOptimizerStepDispatchAllocs(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(4))
+	if tensor.SerialRange(70000) {
+		t.Fatal("length too small to dispatch; the guard would measure the serial path")
+	}
+	for _, tc := range updateCases {
+		opt, params := tc.fresh(), randParams(14, 70000, 9, 70000)
+		rng := rand.New(rand.NewSource(15))
+		randStep(opt, params, rng)
+		const dispatched = 2 // of the three parameters
+		if allocs := testing.AllocsPerRun(20, func() { opt.Step(params) }); allocs > 2*dispatched {
+			t.Errorf("dispatched %s step did %v allocations, want <= %d", tc.name, allocs, 2*dispatched)
+		}
+	}
+}

@@ -76,3 +76,55 @@ func FormatLayerProfile(timings []LayerTiming) string {
 	}
 	return b.String()
 }
+
+// StepTiming is where reps whole training steps went outside the
+// layers: clearing the gradients before the pass and the optimizer's
+// update after it. What is left of Step is the layers and the loss,
+// which ProfileLayers splits.
+type StepTiming struct {
+	Step      time.Duration
+	ZeroGrads time.Duration
+	Optimizer time.Duration
+}
+
+// ProfileStep trains a compiled model for reps steps on batch x/y (after
+// one untimed step that creates the optimizer's state) and returns the
+// summed timings. It moves the weights; profile a model you can discard.
+func ProfileStep(m *Sequential, x, y *tensor.Matrix, reps int) (StepTiming, error) {
+	if !m.Built() {
+		return StepTiming{}, fmt.Errorf("nn: profile of uncompiled model")
+	}
+	if reps < 1 {
+		reps = 1
+	}
+	m.TrainBatch(x, y)
+	var t StepTiming
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		m.ZeroGrads()
+		zeroed := time.Now()
+		_, grad := m.loss.Compute(m.Forward(x, true), y)
+		m.Backward(grad)
+		backDone := time.Now()
+		m.ApplyStep()
+		end := time.Now()
+		t.Step += end.Sub(start)
+		t.ZeroGrads += zeroed.Sub(start)
+		t.Optimizer += end.Sub(backDone)
+	}
+	return t, nil
+}
+
+// FormatStepProfile renders t as the rows that go under the per-layer
+// table: each part's time and its share of the step.
+func FormatStepProfile(t StepTiming) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-24s %12s %8s\n", "step part", "time", "share")
+	for _, row := range []struct {
+		name string
+		d    time.Duration
+	}{{"zero_grads", t.ZeroGrads}, {"optimizer", t.Optimizer}, {"step", t.Step}} {
+		fmt.Fprintf(&b, "%-24s %12s %7.1f%%\n", row.name, row.d.Round(time.Microsecond), 100*row.d.Seconds()/t.Step.Seconds())
+	}
+	return b.String()
+}

@@ -38,12 +38,87 @@ type StatefulOptimizer interface {
 	RestoreState(params []*Param, state [][]float64) error
 }
 
+// slots is the per-parameter state of a stateful optimizer: for each
+// parameter, up to two vectors of the parameter's length (SGD's
+// velocity; RMSprop's squared-gradient average; Adam's m and v),
+// zeroed when the parameter takes its first step. An unused vector
+// stays nil.
+type slots map[*Param][2][]float64
+
+// update is the one parameter-update driver. For each parameter it
+// finds the state once and runs leaf over the element range: on the
+// caller below the kernel pool's threshold, split over the pool above
+// it. A leaf is element-wise, so where the range is cut cannot change a
+// bit of the result. k carries the step's constants by value.
+func update[K any](st *slots, vecs int, params []*Param, k K, leaf func(w, g []float64, s [2][]float64, lo, hi int, k K)) {
+	if *st == nil {
+		*st = make(slots, len(params))
+	}
+	for _, p := range params {
+		w, g := p.Value.Data, p.Grad.Data
+		s, ok := (*st)[p]
+		if !ok {
+			for j := 0; j < vecs; j++ {
+				s[j] = make([]float64, len(w))
+			}
+			(*st)[p] = s
+		}
+		if tensor.SerialRange(len(w)) {
+			leaf(w, g, s, 0, len(w), k)
+			continue
+		}
+		tensor.ParallelRange(len(w), func(lo, hi int) { leaf(w, g, s, lo, hi, k) })
+	}
+}
+
+// capture flattens vecs state vectors per parameter, in parameter
+// order, after the vectors of head. A parameter that has not stepped
+// yet captures zeros.
+func (st slots) capture(vecs int, params []*Param, head ...[]float64) [][]float64 {
+	out := append(make([][]float64, 0, len(head)+vecs*len(params)), head...)
+	for _, p := range params {
+		for j := 0; j < vecs; j++ {
+			vec := make([]float64, len(p.Value.Data))
+			copy(vec, st[p][j])
+			out = append(out, vec)
+		}
+	}
+	return out
+}
+
+// restore installs what capture(vecs, params) flattened into state, and
+// leaves st alone when a vector count or length does not fit params.
+// Empty state resets st to fresh.
+func (st *slots) restore(name string, vecs int, params []*Param, state [][]float64) error {
+	if len(state) == 0 {
+		*st = nil
+		return nil
+	}
+	if len(state) != vecs*len(params) {
+		return fmt.Errorf("nn: %s state has %d vectors, want %d", name, len(state), vecs*len(params))
+	}
+	fresh := make(slots, len(params))
+	for i, p := range params {
+		var s [2][]float64
+		for j := 0; j < vecs; j++ {
+			vec := state[vecs*i+j]
+			if len(vec) != len(p.Value.Data) {
+				return fmt.Errorf("nn: %s state vector %d of param %d has %d elems, param has %d", name, j, i, len(vec), len(p.Value.Data))
+			}
+			s[j] = append([]float64(nil), vec...)
+		}
+		fresh[p] = s
+	}
+	*st = fresh
+	return nil
+}
+
 // SGD is stochastic gradient descent with optional classical momentum,
 // matching the Keras "sgd" optimizer used by NT3 and P1B3.
 type SGD struct {
 	LR       float64
 	Momentum float64
-	vel      map[*Param]*tensor.Matrix
+	vel      slots
 }
 
 // NewSGD returns an SGD optimizer with the given learning rate and no
@@ -70,17 +145,20 @@ func (s *SGD) Step(params []*Param) {
 		}
 		return
 	}
-	if s.vel == nil {
-		s.vel = make(map[*Param]*tensor.Matrix, len(params))
-	}
-	for _, p := range params {
-		v, ok := s.vel[p]
-		if !ok {
-			v = tensor.New(p.Value.Rows, p.Value.Cols)
-			s.vel[p] = v
-		}
-		v.Scale(s.Momentum).AXPY(-s.LR, p.Grad)
-		p.Value.Add(v)
+	update(&s.vel, 1, params, sgdConsts{mu: s.Momentum, negLR: -s.LR}, sgdMomentumLeaf)
+}
+
+type sgdConsts struct{ mu, negLR float64 }
+
+// sgdMomentumLeaf is v = mu*v - lr*g; w += v in one pass. The
+// conversion rounds mu*v before the add, as storing it did when this
+// was three passes (Scale, AXPY, Add), so the bits are the same.
+func sgdMomentumLeaf(w, g []float64, s [2][]float64, lo, hi int, k sgdConsts) {
+	w, g, v := w[lo:hi], g[lo:hi], s[0][lo:hi]
+	for i := range w {
+		vi := float64(v[i]*k.mu) + k.negLR*g[i]
+		v[i] = vi
+		w[i] += vi
 	}
 }
 
@@ -90,37 +168,12 @@ func (s *SGD) CaptureState(params []*Param) [][]float64 {
 	if s.Momentum == 0 {
 		return nil
 	}
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		vec := make([]float64, len(p.Value.Data))
-		if v, ok := s.vel[p]; ok {
-			copy(vec, v.Data)
-		}
-		out[i] = vec
-	}
-	return out
+	return s.vel.capture(1, params)
 }
 
 // RestoreState implements StatefulOptimizer.
 func (s *SGD) RestoreState(params []*Param, state [][]float64) error {
-	if len(state) == 0 {
-		s.vel = nil
-		return nil
-	}
-	if len(state) != len(params) {
-		return fmt.Errorf("nn: sgd state has %d vectors, want %d", len(state), len(params))
-	}
-	vel := make(map[*Param]*tensor.Matrix, len(params))
-	for i, p := range params {
-		if len(state[i]) != len(p.Value.Data) {
-			return fmt.Errorf("nn: sgd state[%d] has %d elems, param has %d", i, len(state[i]), len(p.Value.Data))
-		}
-		v := tensor.New(p.Value.Rows, p.Value.Cols)
-		copy(v.Data, state[i])
-		vel[p] = v
-	}
-	s.vel = vel
-	return nil
+	return s.vel.restore("sgd", 1, params, state)
 }
 
 // Adam is adaptive moment estimation, matching the Keras "adam"
@@ -131,7 +184,7 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 	t       int
-	m, v    map[*Param]*tensor.Matrix
+	mv      slots // m, v
 }
 
 // NewAdam returns an Adam optimizer with Keras defaults
@@ -151,74 +204,49 @@ func (a *Adam) SetLearningRate(lr float64) { a.LR = lr }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params []*Param) {
-	if a.m == nil {
-		a.m = make(map[*Param]*tensor.Matrix, len(params))
-		a.v = make(map[*Param]*tensor.Matrix, len(params))
-	}
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = tensor.New(p.Value.Rows, p.Value.Cols)
-			a.m[p] = m
-			a.v[p] = tensor.New(p.Value.Rows, p.Value.Cols)
-		}
-		v := a.v[p]
-		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mhat := m.Data[i] / c1
-			vhat := v.Data[i] / c2
-			p.Value.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Epsilon)
-		}
+	update(&a.mv, 2, params, adamConsts{
+		b1: a.Beta1, b2: a.Beta2, step: a.LR / c1, invSqrtC2: 1 / math.Sqrt(c2), eps: a.Epsilon,
+	}, adamLeaf)
+}
+
+type adamConsts struct{ b1, b2, step, invSqrtC2, eps float64 }
+
+// adamLeaf folds both bias corrections into the step's constants:
+// lr*(m/c1) / (sqrt(v/c2) + eps) becomes step*m / (sqrt(v)*c2^-½ + eps),
+// one square root and one divide per element.
+func adamLeaf(w, g []float64, s [2][]float64, lo, hi int, k adamConsts) {
+	w, g, m, v := w[lo:hi], g[lo:hi], s[0][lo:hi], s[1][lo:hi]
+	omb1, omb2 := 1-k.b1, 1-k.b2
+	for i, gi := range g {
+		mi := k.b1*m[i] + omb1*gi
+		vi := k.b2*v[i] + omb2*gi*gi
+		m[i], v[i] = mi, vi
+		w[i] -= k.step * mi / (math.Sqrt(vi)*k.invSqrtC2 + k.eps)
 	}
 }
 
 // CaptureState implements StatefulOptimizer: the step count in its own
 // vector, then interleaved (m, v) moment vectors per parameter.
 func (a *Adam) CaptureState(params []*Param) [][]float64 {
-	out := make([][]float64, 0, 1+2*len(params))
-	out = append(out, []float64{float64(a.t)})
-	for _, p := range params {
-		m := make([]float64, len(p.Value.Data))
-		v := make([]float64, len(p.Value.Data))
-		if mm, ok := a.m[p]; ok {
-			copy(m, mm.Data)
-		}
-		if vv, ok := a.v[p]; ok {
-			copy(v, vv.Data)
-		}
-		out = append(out, m, v)
-	}
-	return out
+	return a.mv.capture(2, params, []float64{float64(a.t)})
 }
 
 // RestoreState implements StatefulOptimizer.
 func (a *Adam) RestoreState(params []*Param, state [][]float64) error {
 	if len(state) == 0 {
-		a.t, a.m, a.v = 0, nil, nil
+		a.t, a.mv = 0, nil
 		return nil
 	}
 	if len(state) != 1+2*len(params) || len(state[0]) != 1 {
-		return fmt.Errorf("nn: adam state has %d vectors, want %d", len(state), 1+2*len(params))
+		return fmt.Errorf("nn: adam state has %d vectors, want the step count and %d moments", len(state), 2*len(params))
 	}
-	m := make(map[*Param]*tensor.Matrix, len(params))
-	v := make(map[*Param]*tensor.Matrix, len(params))
-	for i, p := range params {
-		ms, vs := state[1+2*i], state[2+2*i]
-		if len(ms) != len(p.Value.Data) || len(vs) != len(p.Value.Data) {
-			return fmt.Errorf("nn: adam state for param %d has %d/%d elems, want %d", i, len(ms), len(vs), len(p.Value.Data))
-		}
-		mm := tensor.New(p.Value.Rows, p.Value.Cols)
-		vv := tensor.New(p.Value.Rows, p.Value.Cols)
-		copy(mm.Data, ms)
-		copy(vv.Data, vs)
-		m[p], v[p] = mm, vv
+	if err := a.mv.restore("adam", 2, params, state[1:]); err != nil {
+		return err
 	}
 	a.t = int(state[0][0])
-	a.m, a.v = m, v
 	return nil
 }
 
@@ -228,7 +256,7 @@ type RMSprop struct {
 	LR      float64
 	Rho     float64
 	Epsilon float64
-	v       map[*Param]*tensor.Matrix
+	v       slots
 }
 
 // NewRMSprop returns an RMSprop optimizer with Keras defaults
@@ -248,56 +276,28 @@ func (r *RMSprop) SetLearningRate(lr float64) { r.LR = lr }
 
 // Step implements Optimizer.
 func (r *RMSprop) Step(params []*Param) {
-	if r.v == nil {
-		r.v = make(map[*Param]*tensor.Matrix, len(params))
-	}
-	for _, p := range params {
-		v, ok := r.v[p]
-		if !ok {
-			v = tensor.New(p.Value.Rows, p.Value.Cols)
-			r.v[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v.Data[i] = r.Rho*v.Data[i] + (1-r.Rho)*g*g
-			p.Value.Data[i] -= r.LR * g / (math.Sqrt(v.Data[i]) + r.Epsilon)
-		}
+	update(&r.v, 1, params, rmspropConsts{rho: r.Rho, lr: r.LR, eps: r.Epsilon}, rmspropLeaf)
+}
+
+type rmspropConsts struct{ rho, lr, eps float64 }
+
+func rmspropLeaf(w, g []float64, s [2][]float64, lo, hi int, k rmspropConsts) {
+	w, g, v := w[lo:hi], g[lo:hi], s[0][lo:hi]
+	omrho := 1 - k.rho
+	for i, gi := range g {
+		vi := k.rho*v[i] + omrho*gi*gi
+		v[i] = vi
+		w[i] -= k.lr * gi / (math.Sqrt(vi) + k.eps)
 	}
 }
 
 // CaptureState implements StatefulOptimizer: one squared-gradient
 // average vector per parameter.
-func (r *RMSprop) CaptureState(params []*Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		vec := make([]float64, len(p.Value.Data))
-		if v, ok := r.v[p]; ok {
-			copy(vec, v.Data)
-		}
-		out[i] = vec
-	}
-	return out
-}
+func (r *RMSprop) CaptureState(params []*Param) [][]float64 { return r.v.capture(1, params) }
 
 // RestoreState implements StatefulOptimizer.
 func (r *RMSprop) RestoreState(params []*Param, state [][]float64) error {
-	if len(state) == 0 {
-		r.v = nil
-		return nil
-	}
-	if len(state) != len(params) {
-		return fmt.Errorf("nn: rmsprop state has %d vectors, want %d", len(state), len(params))
-	}
-	v := make(map[*Param]*tensor.Matrix, len(params))
-	for i, p := range params {
-		if len(state[i]) != len(p.Value.Data) {
-			return fmt.Errorf("nn: rmsprop state[%d] has %d elems, param has %d", i, len(state[i]), len(p.Value.Data))
-		}
-		vv := tensor.New(p.Value.Rows, p.Value.Cols)
-		copy(vv.Data, state[i])
-		v[p] = vv
-	}
-	r.v = v
-	return nil
+	return r.v.restore("rmsprop", 1, params, state)
 }
 
 // NewOptimizer constructs the optimizer a CANDLE config names:

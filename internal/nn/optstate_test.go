@@ -97,6 +97,15 @@ func TestRMSpropStateRoundTrip(t *testing.T) {
 	testStateRoundTrip(t, func() Optimizer { return NewRMSprop(0.01) })
 }
 
+// TestClippedOptimizerStateRoundTrip: the clipping wrapper must carry
+// its base's state through a checkpoint; before it implemented
+// StatefulOptimizer a clipped Adam or RMSprop resumed with its moments
+// dropped.
+func TestClippedOptimizerStateRoundTrip(t *testing.T) {
+	testStateRoundTrip(t, func() Optimizer { return NewClippedOptimizer(NewAdam(0.01), 1) })
+	testStateRoundTrip(t, func() Optimizer { return NewClippedOptimizer(NewRMSprop(0.01), 1) })
+}
+
 // TestRestoreStateRejectsShapeMismatch: a snapshot whose state vectors
 // disagree with the live model's parameters must be refused with an
 // error, never silently truncated into corrupt optimizer state.

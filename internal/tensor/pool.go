@@ -140,3 +140,14 @@ func parallelRows(n, work int, f func(lo, hi int)) {
 	f(lo, n)
 	wg.Wait()
 }
+
+// SerialRange and ParallelRange are serialRows and parallelRows for an
+// element-wise kernel that lives outside this package (the optimizer's
+// parameter update): n elements at one unit of work each. The caller
+// branches on SerialRange first, for the reason serialRows gives.
+func SerialRange(n int) bool { return serialRows(n, n) }
+
+// ParallelRange runs f over disjoint element ranges [lo, hi) that
+// together cover [0, n), on the shared pool under the same budget as
+// every other kernel.
+func ParallelRange(n int, f func(lo, hi int)) { parallelRows(n, n, f) }
