@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: build test test-matrix race vet loc bench-build bench bench-optimizer-smoke bench-tensor bench-overlap bench-serve bench-load \
-	bench-transport bench-fleet bench-e2e bench-e2e-smoke launch-smoke fleet-smoke ci \
+.PHONY: build test test-matrix race vet loc bench-build bench bench-optimizer-smoke bench-smoke \
+	launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
 build:
@@ -32,8 +32,8 @@ loc:
 bench-build:
 	$(GO) vet ./benchmark && $(GO) build -o /dev/null ./benchmark
 
-# Kernel and layer-step micro-benchmarks (the numbers recorded in
-# BENCH_tensor.json).
+# Kernel and layer-step micro-benchmarks, for work on one kernel or
+# layer; what a change is worth end to end is benchmark/'s to say.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/tensor ./internal/nn
 
@@ -42,51 +42,18 @@ bench:
 bench-optimizer-smoke:
 	$(GO) test -bench BenchmarkOptimizerStep -benchtime 1x -run '^$$' ./internal/nn
 
-bench-tensor:
-	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTMatMul|BenchmarkDenseStep' -benchmem -run '^$$' ./internal/tensor ./internal/nn
-
-# Sync-vs-overlap per-step wall time under an injected collective
-# stall; regenerates BENCH_overlap.json.
-bench-overlap:
-	BENCH_OVERLAP_OUT=$(CURDIR)/BENCH_overlap.json $(GO) test -run TestWriteOverlapBench -v ./internal/horovod
-
-# Batched vs unbatched inference serving throughput/latency;
-# regenerates BENCH_serve.json.
-bench-serve:
-	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json $(GO) test -count=1 -run TestWriteServeBench -v ./internal/serve
-
-# Phase-1 load at 4 ranks: parallel reader vs cold sharded vs warm
-# binary cache; regenerates BENCH_load.json.
-bench-load:
-	BENCH_LOAD_OUT=$(CURDIR)/BENCH_load.json $(GO) test -count=1 -run TestWriteLoadBench -v ./internal/dataload
-
-# Ring-allreduce latency/bandwidth across the rank-link transports
-# (in-process channels vs Unix sockets vs loopback TCP, 2 procs x 2
-# ranks) at three payload sizes; regenerates BENCH_transport.json.
-bench-transport:
-	BENCH_TRANSPORT_OUT=$(CURDIR)/BENCH_transport.json $(GO) test -count=1 -run TestWriteTransportBench -v ./internal/launch
+# The benchmark's suite driver at test scale: a child process per
+# workload, result files and summary.json, every output check, tiny
+# inputs and no targets, into a temporary directory. No -against self:
+# at this scale its verdicts are noise.
+bench-smoke:
+	d=$$(mktemp -d) && $(GO) run ./benchmark -smoke -out $$d; s=$$?; rm -rf $$d; exit $$s
 
 # Multi-process smoke: `candle launch` spawns 2 `candle run` worker
 # processes x 2 ranks over unix sockets, pinned seed, bit-identical to
 # the 4-rank in-process run.
 launch-smoke:
 	$(GO) test -count=1 -run TestLaunchSmokeBitIdentical -v ./cmd/candle
-
-# Open-loop fleet load test at 1/2/4 replicas plus the
-# kill-a-replica-under-load run; regenerates BENCH_fleet.json.
-bench-fleet:
-	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test -count=1 -timeout 600s -run TestWriteFleetBench -v ./internal/fleet
-
-# End-to-end time/energy-to-accuracy sweep: real training for every
-# pilot × {engine, ranks, overlap, dtype} grid point, phase split from
-# the trace timeline, modeled joules; regenerates BENCH_e2e.json —
-# the artifact candle advise -from-bench recommends from.
-bench-e2e:
-	BENCH_E2E_OUT=$(CURDIR)/BENCH_e2e.json $(GO) test -count=1 -timeout 600s -run TestWriteE2EBench -v ./internal/e2ebench
-
-# CI-fast subset: one pilot, two configs, schema-validated, thrown away.
-bench-e2e-smoke:
-	BENCH_E2E_SMOKE=1 BENCH_E2E_OUT=/tmp/BENCH_e2e.json $(GO) test -count=1 -run TestWriteE2EBench -v ./internal/e2ebench
 
 # Replicated-serving smoke: `candle fleet` spawns 2 real `candle serve`
 # replica processes, one is SIGKILLed under live load (zero failed
@@ -125,4 +92,4 @@ sim-import-export:
 sim-transport:
 	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check transport
 
-ci: build test-matrix race vet bench-build bench-optimizer-smoke sim-smoke launch-smoke fleet-smoke bench-e2e-smoke
+ci: build test-matrix race vet bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke

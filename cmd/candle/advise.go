@@ -21,25 +21,21 @@ type adviseOpts struct {
 	epochs     int
 	scaleBatch bool
 	all        bool
-	fromBench  string
 	deadline   time.Duration
 }
 
 // adviseCmd recommends a run configuration: the fewest seconds or
-// joules that still meet an accuracy floor. Predictions come from the
-// paper-calibrated performance/power models by default, or — with
-// -from-bench — from a BENCH_e2e.json artifact this machine produced,
-// in which case the recommendation is backed by measured trajectories
-// instead of analytic curves.
+// joules that still meet an accuracy floor, as the paper-calibrated
+// performance/power models predict them.
 //
 //	candle advise -bench NT3 -min-accuracy 0.99
 //	candle advise -bench NT3 -objective energy -min-accuracy 0.99
 //	candle advise -bench P1B3 -scale-batch -min-accuracy 0.64 -epochs 1
-//	candle advise -bench NT3 -from-bench BENCH_e2e.json -min-accuracy 0.7 -deadline 300s
+//	candle advise -bench NT3 -min-accuracy 0.99 -deadline 300s
 func adviseCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var o adviseOpts
 	fs.StringVar(&o.bench, "bench", "NT3", benchUsage)
-	fs.StringVar(&o.machine, "machine", "summit", "summit or theta (analytic predictions only)")
+	fs.StringVar(&o.machine, "machine", "summit", "summit or theta")
 	fs.StringVar(&o.objective, "objective", "time", "time, energy, or edp")
 	fs.Float64Var(&o.minAcc, "min-accuracy", 0, "accuracy floor (classification)")
 	fs.Float64Var(&o.maxLoss, "max-loss", 0, "loss ceiling (P1B1)")
@@ -47,7 +43,6 @@ func adviseCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	fs.IntVar(&o.epochs, "epochs", 0, "total epoch budget (0 = default)")
 	fs.BoolVar(&o.scaleBatch, "scale-batch", false, "also sweep linear/sqrt/cbrt batch scaling")
 	fs.BoolVar(&o.all, "all", false, "print every candidate, not just the winner")
-	fs.StringVar(&o.fromBench, "from-bench", "", "recommend from a measured BENCH_e2e.json instead of the analytic models")
 	fs.DurationVar(&o.deadline, "deadline", 0, "reject plans slower than this (e.g. 300s; 0 = none)")
 	return func(stdout, stderr io.Writer) error { return o.run(stdout) }
 }
@@ -64,29 +59,16 @@ func (o *adviseOpts) run(stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown objective %q", o.objective)
 	}
-	req := advisor.Request{
-		Benchmark: o.bench, Objective: obj,
+	m, err := hpc.ByName(o.machine)
+	if err != nil {
+		return err
+	}
+	best, candidates, err := advisor.Recommend(advisor.Request{
+		Benchmark: o.bench, Machine: m, Objective: obj,
 		MinAccuracy: o.minAcc, MaxLoss: o.maxLoss,
 		MaxWorkers: o.maxWorkers, Epochs: o.epochs, ScaleBatch: o.scaleBatch,
 		DeadlineS: o.deadline.Seconds(),
-	}
-	var source string
-	if o.fromBench != "" {
-		cal, err := advisor.LoadMeasured(o.fromBench)
-		if err != nil {
-			return err
-		}
-		req.Calibration = cal
-		source = cal.Name()
-	} else {
-		m, err := hpc.ByName(o.machine)
-		if err != nil {
-			return err
-		}
-		req.Machine = m
-		source = "analytic models, " + m.Name
-	}
-	best, candidates, err := advisor.Recommend(req)
+	})
 	if o.all {
 		for _, c := range candidates {
 			fmt.Fprintf(stdout, "  candidate: %s\n", c)
@@ -95,7 +77,7 @@ func (o *adviseOpts) run(stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%s (%s, %s", o.bench, source, obj)
+	fmt.Fprintf(stdout, "%s (analytic models, %s, %s", o.bench, m.Name, obj)
 	if o.minAcc > 0 {
 		fmt.Fprintf(stdout, ", accuracy ≥ %.3f", o.minAcc)
 	}

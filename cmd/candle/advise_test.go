@@ -1,11 +1,8 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"candle/internal/e2ebench"
 )
 
 func TestRunAdvise(t *testing.T) {
@@ -46,42 +43,15 @@ func TestRunAdviseUnknownBenchmarkIsActionable(t *testing.T) {
 	}
 }
 
-// writeFixture writes a minimal measured artifact with one NT3 config.
-func writeFixture(t *testing.T) string {
-	t.Helper()
-	m := &e2ebench.Metrics{Seed: 1, Pilots: []e2ebench.PilotResult{{
-		Spec: e2ebench.PilotSpec{Name: "NT3", Batch: 7,
-			TargetKind: e2ebench.TargetAccuracy, Target: 0.7},
-		Configs: []e2ebench.ConfigResult{{
-			Config:        e2ebench.Config{Engine: "sharded", Ranks: 2, Batch: 7, DType: "f64"},
-			ReachedTarget: true, TimeToTargetS: 2, EnergyToTargetJ: 150,
-			TotalS: 4, EnergyJ: 300, FinalTestAcc: 0.9, FinalTestLoss: 0.2,
-			EpochEndS:     []float64{1, 2, 3, 4},
-			EpochTestAcc:  []float64{0.5, 0.7, 0.8, 0.9},
-			EpochTestLoss: []float64{0.9, 0.6, 0.4, 0.2},
-			EpochEnergyJ:  []float64{75, 150, 225, 300},
-		}},
-	}}}
-	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	if err := e2ebench.Write(path, m, "advise test fixture"); err != nil {
-		t.Fatal(err)
+// TestRunAdviseDeadline: a deadline the winner meets is echoed in the
+// header; one no plan meets is infeasible, and the error names it.
+func TestRunAdviseDeadline(t *testing.T) {
+	out := mustCandle(t, "advise", "-bench", "NT3", "-min-accuracy", "0.99", "-deadline", "1h")
+	if !strings.Contains(out, "deadline 1h0m0s") || !strings.Contains(out, "recommended:") {
+		t.Fatalf("advise with a deadline the winner meets:\n%s", out)
 	}
-	return path
-}
-
-func TestRunAdviseFromBench(t *testing.T) {
-	path := writeFixture(t)
-	mustCandle(t, "advise", "-bench", "NT3", "-min-accuracy", "0.7", "-from-bench", path, "-deadline", "300s", "-all")
-	// A deadline tighter than any measured crossing is infeasible.
-	if code, _, _ := candleCLI("advise", "-bench", "NT3", "-min-accuracy", "0.7", "-from-bench", path, "-deadline", "1ms"); code != 1 {
-		t.Fatal("impossible deadline accepted")
-	}
-	// A pilot absent from the artifact is rejected with the known list.
-	if code, _, stderr := candleCLI("advise", "-bench", "P1B2", "-from-bench", path); code != 1 || !strings.Contains(stderr, "NT3") {
-		t.Fatalf("unknown pilot error not actionable: exit %d, %q", code, stderr)
-	}
-	// A non-e2e artifact is a schema error, not a panic or silence.
-	if code, _, _ := candleCLI("advise", "-bench", "NT3", "-from-bench", "main.go"); code != 1 {
-		t.Fatal("garbage artifact accepted")
+	code, _, stderr := candleCLI("advise", "-bench", "NT3", "-min-accuracy", "0.99", "-deadline", "1s")
+	if code != 1 || !strings.Contains(stderr, "within 1s") {
+		t.Fatalf("impossible deadline: exit %d, stderr %q; want 1 naming the deadline", code, stderr)
 	}
 }

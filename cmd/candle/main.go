@@ -36,7 +36,7 @@ var commands = []command{
 	{"advise", "recommend the configuration with the fewest seconds or joules that meets an accuracy floor", adviseCmd},
 	{"power", "print the power-monitor telemetry of a simulated run", powerCmd},
 	{"profile", "per-layer forward/backward timing of a benchmark's model, or of one CSV engine", profileCmd},
-	{"report", "write the full reproduction bundle, or render a BENCH_e2e.json as tables", reportCmd},
+	{"report", "write the full reproduction bundle of the paper's tables and figures", reportCmd},
 	{"sweep", "regenerate one or all of the paper's tables and figures", sweepCmd},
 	{"tables", "print the paper's Tables 1-6", tablesCmd},
 	{"timeline", "emit a Horovod-style Chrome-trace timeline of a simulated run", timelineCmd},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"regexp"
@@ -130,7 +131,8 @@ func (c *cliChild) waitExit(t *testing.T, d time.Duration) int {
 // TestDispatchTable pins the CLI's shape: every subcommand answers -h
 // with its flags and exit 0, an unknown one exits 2 naming the valid
 // ones, and README's subcommand table lists exactly the dispatch
-// table's entries.
+// table's entries, naming in its flag column only flags each
+// subcommand registers.
 func TestDispatchTable(t *testing.T) {
 	for _, c := range commands {
 		code, _, stderr := candleCLI(c.name, "-h")
@@ -183,5 +185,21 @@ func TestDispatchTable(t *testing.T) {
 	}
 	if strings.Join(documented, " ") != strings.Join(table, " ") {
 		t.Errorf("README subcommand table lists\n  %v\nthe dispatch table has\n  %v", documented, table)
+	}
+
+	flagToken := regexp.MustCompile("(?:^|[\\s`\\[])-([a-z][a-z0-9-]*)")
+	for _, c := range commands {
+		row := regexp.MustCompile("(?m)^\\| `candle " + c.name + "` \\|.*$").FindString(string(readme))
+		cols := strings.Split(strings.ReplaceAll(row, `\|`, "/"), "|")
+		if len(cols) < 5 {
+			continue // missing from the table: reported above
+		}
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.setup(fs)
+		for _, m := range flagToken.FindAllStringSubmatch(cols[3], -1) {
+			if fs.Lookup(m[1]) == nil {
+				t.Errorf("README lists -%s for candle %s, which does not register it", m[1], c.name)
+			}
+		}
 	}
 }

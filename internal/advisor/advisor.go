@@ -4,20 +4,15 @@
 //
 // Given a benchmark, an accuracy floor, and an objective (minimize
 // time, energy, or their product), Recommend sweeps candidate
-// configurations from a Calibration source and returns the best
-// feasible plan, for instance: "NT3 on Summit to accuracy ≥0.99:
-// 48 GPUs, batch 20, chunked loader — 186 s, 0.9 MJ".
-//
-// Where the predictions come from is the Request.Calibration field:
-// nil keeps the historical Analytic source (the paper-calibrated
-// internal/sim models), while a Measured source fitted from a
-// BENCH_e2e.json artifact (LoadMeasured) recommends from trajectories
-// this machine actually produced.
+// configurations through the paper-calibrated internal/sim models and
+// returns the best feasible plan, for instance: "NT3 on Summit to
+// accuracy ≥0.99: 48 GPUs, batch 20, chunked loader — 186 s, 0.9 MJ".
 package advisor
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"candle/internal/hpc"
 	"candle/internal/sim"
@@ -49,9 +44,7 @@ func (o Objective) String() string {
 // Request describes what the user wants to run.
 type Request struct {
 	Benchmark string
-	// Machine is the target machine for analytic predictions; a
-	// measured calibration ignores it (its data already has a machine:
-	// the one that produced the artifact).
+	// Machine is the machine the predictions are for.
 	Machine   hpc.Machine
 	Objective Objective
 	// MinAccuracy is the accuracy floor a plan must reach
@@ -62,19 +55,15 @@ type Request struct {
 	// MaxWorkers caps the sweep (0 = 384, the paper's strong-scaling
 	// maximum).
 	MaxWorkers int
-	// Epochs is the total epoch budget (0 = benchmark default;
-	// measured calibrations always price their recorded budget).
+	// Epochs is the total epoch budget (0 = benchmark default).
 	Epochs int
 	// ScaleBatch additionally sweeps the Figure 4(b) batch-scaling
-	// strategies (for P1B3-style workloads; analytic only).
+	// strategies (for P1B3-style workloads).
 	ScaleBatch bool
 	// DeadlineS rejects plans predicted to take longer than this many
 	// seconds (0 = no deadline). Unlike the floors, it applies to every
 	// benchmark kind.
 	DeadlineS float64
-	// Calibration is where predictions come from; nil means Analytic{}
-	// (the historical simulator sweep, bit-for-bit).
-	Calibration Calibration
 }
 
 // Plan is one feasible configuration with its predicted outcome.
@@ -82,9 +71,7 @@ type Plan struct {
 	Workers  int
 	Batch    int
 	Engine   string // loader/engine name
-	Strategy string // "fixed", "linear", "sqrt", "cbrt", "measured"
-	Overlap  bool   // measured plans: async gradient pipeline
-	DType    string // measured plans: compute precision
+	Strategy string // "fixed", "linear", "sqrt", "cbrt"
 
 	TimeS    float64
 	EnergyJ  float64
@@ -93,67 +80,90 @@ type Plan struct {
 }
 
 func (p Plan) String() string {
-	engine := p.Engine
-	if p.Overlap {
-		engine += "+overlap"
-	}
-	if p.DType != "" && p.DType != "f64" {
-		engine += "/" + p.DType
-	}
 	return fmt.Sprintf("%d workers, batch %d (%s), %s loader: %.1f s, %.2f MJ, accuracy %.3f",
-		p.Workers, p.Batch, p.Strategy, engine, p.TimeS, p.EnergyJ/1e6, p.Accuracy)
+		p.Workers, p.Batch, p.Strategy, p.Engine, p.TimeS, p.EnergyJ/1e6, p.Accuracy)
 }
 
 // ErrInfeasible reports that no swept configuration met the floor.
 var ErrInfeasible = errors.New("advisor: no feasible configuration")
 
-// Recommend sweeps the calibration's candidates and returns the best
-// feasible plan plus every candidate considered (feasible or not), for
-// reporting. The calibration defaults to Analytic{}, which reproduces
-// the historical simulator sweep exactly.
+// workerSweep is the standard ladder of worker counts.
+var workerSweep = []int{1, 6, 12, 24, 48, 96, 192, 384}
+
+// sweepLoaders is the loader sweep order; with better()'s strict
+// less-than the earliest candidate wins ties, so it must not change.
+var sweepLoaders = []sim.Loader{sim.LoaderNaive, sim.LoaderParallel, sim.LoaderChunked}
+
+// Recommend runs the simulator for every worker count × loader (×
+// batch-scaling strategy) and returns the best feasible plan plus every
+// candidate considered (feasible or not), for reporting.
 func Recommend(req Request) (best Plan, candidates []Plan, err error) {
-	cal := req.Calibration
-	if cal == nil {
-		cal = Analytic{}
-	}
-	bench, err := cal.Bench(req.Benchmark)
+	bench, err := sim.BenchByName(req.Benchmark)
 	if err != nil {
 		return Plan{}, nil, err
 	}
+	maxWorkers := req.MaxWorkers
+	if maxWorkers <= 0 {
+		maxWorkers = 384
+	}
+	strategies := []string{"fixed"}
+	if req.ScaleBatch {
+		strategies = append(strategies, "linear", "sqrt", "cbrt")
+	}
 	found := false
-	for _, c := range cal.Candidates(bench, req) {
-		out, predErr := cal.Predict(req, bench, c)
-		if predErr != nil {
-			// OOM and similar: not a candidate.
-			continue
+	for _, n := range workerSweep {
+		if n > maxWorkers {
+			break
 		}
-		p := Plan{
-			Workers: c.Workers, Batch: c.Batch, Engine: c.Engine,
-			Strategy: c.Strategy, Overlap: c.Overlap, DType: c.DType,
-			TimeS: out.TimeS, EnergyJ: out.EnergyJ,
-			Accuracy: out.Accuracy, Loss: out.Loss,
-		}
-		candidates = append(candidates, p)
-		if !feasible(p, bench, req) {
-			continue
-		}
-		if !found || better(p, best, req.Objective) {
-			best = p
-			found = true
+		for _, loader := range sweepLoaders {
+			for _, strat := range strategies {
+				batch := scaledBatch(bench.DefaultBatch, strat, n)
+				r, runErr := sim.Run(sim.Config{
+					Machine: req.Machine, Bench: bench, Ranks: n,
+					Scaling: sim.Strong, Epochs: req.Epochs, Batch: batch,
+					Loader: loader,
+				})
+				if runErr != nil {
+					// OOM and similar: not a candidate.
+					continue
+				}
+				p := Plan{
+					Workers: n, Batch: batch, Engine: loader.String(), Strategy: strat,
+					TimeS: r.TotalTime, EnergyJ: r.TotalEnergyJ,
+					Accuracy: r.Accuracy, Loss: r.Loss,
+				}
+				candidates = append(candidates, p)
+				if !feasible(p, bench, req) {
+					continue
+				}
+				if !found || better(p, best, req.Objective) {
+					best = p
+					found = true
+				}
+			}
 		}
 	}
 	if !found {
-		return Plan{}, candidates, infeasibleErr(req, cal)
+		return Plan{}, candidates, infeasibleErr(req)
 	}
 	return best, candidates, nil
 }
 
-func infeasibleErr(req Request, cal Calibration) error {
-	where := req.Machine.Name
-	if where == "" {
-		where = cal.Name()
+// scaledBatch is the per-worker batch under a Figure 4(b) strategy.
+func scaledBatch(base int, strategy string, workers int) int {
+	switch strategy {
+	case "linear":
+		return base * workers
+	case "sqrt":
+		return int(float64(base) * math.Sqrt(float64(workers)))
+	case "cbrt":
+		return int(float64(base) * math.Cbrt(float64(workers)))
 	}
-	msg := fmt.Sprintf("%s on %s", req.Benchmark, where)
+	return base
+}
+
+func infeasibleErr(req Request) error {
+	msg := fmt.Sprintf("%s on %s", req.Benchmark, req.Machine.Name)
 	if req.MinAccuracy > 0 {
 		msg += fmt.Sprintf(" with accuracy ≥ %v", req.MinAccuracy)
 	}

@@ -181,3 +181,25 @@ func TestRecommendMinEDP(t *testing.T) {
 		t.Fatal("objective string")
 	}
 }
+
+func TestRecommendDeadline(t *testing.T) {
+	req := Request{Benchmark: "NT3", Machine: hpc.Summit(), Objective: MinTime, MinAccuracy: 0.99}
+	free, _, err := Recommend(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A deadline the winner meets leaves the recommendation alone.
+	req.DeadlineS = free.TimeS
+	if got, _, err := Recommend(req); err != nil || got != free {
+		t.Fatalf("deadline at the winner's time: %+v, %v; want %+v", got, err, free)
+	}
+	// A deadline no plan meets is infeasible, and the error names it.
+	req.DeadlineS = 1
+	_, _, err = Recommend(req)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "within 1s") {
+		t.Fatalf("deadline missing from error: %v", err)
+	}
+}

@@ -153,7 +153,7 @@ func TestTrackEpochsRecordsTrajectory(t *testing.T) {
 func TestTrackEpochsDeterministicAccuracies(t *testing.T) {
 	// Twin runs of the same seed: wall-clock timestamps differ, but the
 	// measured accuracy/loss trajectories must be bit-identical — the
-	// property the e2e benchmark's determinism check rests on.
+	// property the benchmark's time-to-target repeats rest on.
 	a := runSmall(t, 2, RunConfig{TotalEpochs: 8, TrackEpochs: true})
 	b := runSmall(t, 2, RunConfig{TotalEpochs: 8, TrackEpochs: true})
 	if len(a.Root.EpochTestAcc) == 0 {

@@ -428,30 +428,54 @@ func TestReadCacheStale(t *testing.T) {
 // TestCacheCoherentAcrossRanks: a multi-rank cold run writes the cache
 // once (rank 0, after the exchange), and a warm run hits it on every
 // rank with no collectives — so hit and miss can never mix within a
-// run.
+// run — and both rounds hand every rank the naive reader's matrix, bit
+// for bit. The second file has the cells real expression matrices carry.
 func TestCacheCoherentAcrossRanks(t *testing.T) {
-	path := writeFile(t, genCSV(31, 64, 5))
-	cacheDir := t.TempDir()
-	want := mustRead(t, csvio.NewNaiveReader(), path)
-
-	for round, wantHit := range []bool{false, true} {
-		err := mpi.NewWorld(3).Run(func(c *mpi.Comm) error {
-			m, stats, err := (&Loader{Comm: c, Cache: true, CacheDir: cacheDir, DeferExchange: true}).Read(path)
+	for _, tc := range []struct {
+		name  string
+		path  string
+		world int
+	}{
+		{"mixed cells", writeFile(t, genCSV(31, 64, 5)), 3},
+		{"full-precision cells", fullPrecisionCSV(t, 600, 40), 4},
+	} {
+		want := mustRead(t, csvio.NewNaiveReader(), tc.path)
+		cacheDir := t.TempDir()
+		for round, wantHit := range []bool{false, true} {
+			err := mpi.NewWorld(tc.world).Run(func(c *mpi.Comm) error {
+				m, stats, err := (&Loader{Comm: c, Cache: true, CacheDir: cacheDir, DeferExchange: true}).Read(tc.path)
+				if err != nil {
+					return err
+				}
+				if stats.CacheHit != wantHit {
+					return fmt.Errorf("rank %d round %d: CacheHit=%v, want %v", c.Rank(), round, stats.CacheHit, wantHit)
+				}
+				if !m.Equal(want) {
+					return fmt.Errorf("rank %d round %d: matrix differs", c.Rank(), round)
+				}
+				return nil
+			})
 			if err != nil {
-				return err
+				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if stats.CacheHit != wantHit {
-				return fmt.Errorf("rank %d round %d: CacheHit=%v, want %v", c.Rank(), round, stats.CacheHit, wantHit)
-			}
-			if !m.Equal(want) {
-				return fmt.Errorf("rank %d round %d: matrix differs", c.Rank(), round)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
+}
+
+// fullPrecisionCSV writes rows x cols standard-normal cells in
+// csvio.WriteCSV's shortest round-trip form (~18 characters each).
+func fullPrecisionCSV(t *testing.T, rows, cols int) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	m := tensor.New(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	path := filepath.Join(t.TempDir(), "full.csv")
+	if err := csvio.WriteCSV(path, m); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestStreamingDeliversBlocks: a single-process Open with small

@@ -27,14 +27,15 @@ func rankBatch(rank int) (*tensor.Matrix, *tensor.Matrix) {
 }
 
 // trainSteps runs nsteps of synchronized training on every rank of a
-// fresh world and returns rank 0's final weights, after checking all
-// replicas agree. Models are seeded per rank, then aligned by the
+// fresh world and returns rank 0's final weights and allreduce count,
+// after checking all replicas agree. Models are seeded per rank, then aligned by the
 // broadcast hook; per-rank batches keep the allreduce averaging
 // genuinely diverging gradients.
-func trainSteps(t *testing.T, size, nsteps, fusionBytes int, overlap bool, cycle time.Duration) []float64 {
+func trainSteps(t *testing.T, size, nsteps, fusionBytes int, overlap bool, cycle time.Duration) ([]float64, int) {
 	t.Helper()
 	w := mpi.NewWorld(size)
 	weights := make([][]float64, size)
+	calls := make([]int, size)
 	err := w.Run(func(c *mpi.Comm) error {
 		h := Init(c, Options{FusionBytes: fusionBytes, Overlap: overlap, CycleTime: cycle})
 		dist := h.DistributedOptimizer(nn.NewSGD(0.05))
@@ -54,6 +55,7 @@ func trainSteps(t *testing.T, size, nsteps, fusionBytes int, overlap bool, cycle
 			}
 		}
 		weights[c.Rank()] = m.WeightsVector()
+		calls[c.Rank()] = dist.AllreduceCalls
 		return nil
 	})
 	if err != nil {
@@ -66,7 +68,7 @@ func trainSteps(t *testing.T, size, nsteps, fusionBytes int, overlap bool, cycle
 			}
 		}
 	}
-	return weights[0]
+	return weights[0], calls[0]
 }
 
 // TestOverlapBitIdenticalToSync is the tentpole's correctness claim:
@@ -76,8 +78,12 @@ func trainSteps(t *testing.T, size, nsteps, fusionBytes int, overlap bool, cycle
 func TestOverlapBitIdenticalToSync(t *testing.T) {
 	for _, fusion := range []int{0, 64, -1} {
 		t.Run(fmt.Sprintf("fusion=%d", fusion), func(t *testing.T) {
-			sync := trainSteps(t, 4, 6, fusion, false, 0)
-			async := trainSteps(t, 4, 6, fusion, true, 0)
+			sync, syncCalls := trainSteps(t, 4, 6, fusion, false, 0)
+			async, asyncCalls := trainSteps(t, 4, 6, fusion, true, 0)
+			// Same fusion groups, so the same collectives, in number too.
+			if syncCalls != asyncCalls {
+				t.Fatalf("allreduce calls: sync %d, overlap %d", syncCalls, asyncCalls)
+			}
 			if len(sync) == 0 || len(sync) != len(async) {
 				t.Fatalf("weight count mismatch: %d vs %d", len(sync), len(async))
 			}
@@ -93,8 +99,11 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 // TestOverlapCycleTimeBitIdentical: a positive CycleTime batches
 // coordinator wakeups but must not change the numerics.
 func TestOverlapCycleTimeBitIdentical(t *testing.T) {
-	sync := trainSteps(t, 3, 4, 96, false, 0)
-	async := trainSteps(t, 3, 4, 96, true, 200*time.Microsecond)
+	sync, syncCalls := trainSteps(t, 3, 4, 96, false, 0)
+	async, asyncCalls := trainSteps(t, 3, 4, 96, true, 200*time.Microsecond)
+	if syncCalls != asyncCalls {
+		t.Fatalf("allreduce calls with CycleTime: sync %d, overlap %d", syncCalls, asyncCalls)
+	}
 	for i := range sync {
 		if sync[i] != async[i] {
 			t.Fatalf("weight %d differs with CycleTime: sync=%v overlap=%v", i, sync[i], async[i])

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -50,8 +51,9 @@ func TestRendezvousAssignsRanks(t *testing.T) {
 }
 
 // TestRendezvousWorldsRunCollectives is the end-to-end check: sessions
-// become partial worlds and a real allreduce crosses the process
-// boundary with the same result as a complete world.
+// become partial worlds and real allreduces cross the process boundary
+// with the same result as a complete world, from fewer elements than
+// ranks to 32 KB, three calls each on the same links.
 func TestRendezvousWorldsRunCollectives(t *testing.T) {
 	for _, tr := range []string{"unix", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
@@ -60,12 +62,22 @@ func TestRendezvousWorldsRunCollectives(t *testing.T) {
 				t.Fatal(err)
 			}
 			worker := func(c *mpi.Comm) error {
-				data := []float64{float64(c.Rank() + 1), 10 * float64(c.Rank()+1)}
-				if err := c.AllreduceSum(data); err != nil {
-					return err
-				}
-				if data[0] != 10 || data[1] != 100 {
-					t.Errorf("rank %d reduced to %v, want [10 100]", c.Rank(), data)
+				for _, n := range []int{2, 1 << 8, 1 << 12} {
+					for call := 0; call < 3; call++ {
+						data := make([]float64, n)
+						for i := range data {
+							data[i] = float64((c.Rank() + 1) * (i + 1))
+						}
+						if err := c.AllreduceSum(data); err != nil {
+							return err
+						}
+						for i, v := range data {
+							if want := float64(10 * (i + 1)); v != want {
+								return fmt.Errorf("rank %d, %d elements, call %d: element %d reduced to %v, want %v",
+									c.Rank(), n, call, i, v, want)
+							}
+						}
+					}
 				}
 				return nil
 			}

@@ -177,10 +177,9 @@ type MachineCal struct {
 // (paper Table 1 plus fitted learning/memory curves).
 //
 // Deprecated for configuration choice: code picking a run
-// configuration should go through advisor.Calibration (the analytic
-// source wraps this table; a measured source can replace it with a
-// fitted BENCH_e2e.json). Direct access to the hyperparameter cards
-// remains supported.
+// configuration should go through advisor.Recommend, which sweeps this
+// table through the simulator. Direct access to the hyperparameter
+// cards remains supported.
 func Benchmarks() []BenchCal {
 	return []BenchCal{
 		{

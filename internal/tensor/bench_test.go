@@ -7,8 +7,8 @@ import (
 )
 
 // Kernel micro-benchmarks at the shapes that dominate the CANDLE
-// training hot path, plus the square 1024³ case used as the headline
-// before/after number in BENCH_tensor.json. Shapes:
+// training hot path, plus the square 1024³ case as a shape-neutral
+// reference. Shapes:
 //
 //   - NT3 dense head: (batch·outSteps)×(kernel·inCh) patches by Conv1D
 //     im2col, then B×flatWidth · flatWidth×dense.

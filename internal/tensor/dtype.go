@@ -4,8 +4,9 @@ import "fmt"
 
 // DType selects the storage/compute precision of a model's hot path.
 // The paper's CANDLE pilots are float32 Keras models; F32 halves the
-// memory traffic that bounds single-core matmul throughput (see
-// BENCH_tensor.json), at the cost of ~7 decimal digits of precision.
+// memory traffic that bounds matmul throughput (an f32 run is 1.8x
+// faster per epoch end to end: benchmark/README.md, finding 8), at the
+// cost of ~7 decimal digits of precision.
 type DType uint8
 
 const (
