@@ -92,4 +92,7 @@ sim-import-export:
 sim-transport:
 	$(GO) run ./cmd/candle sim -seeds $(SEEDS) -start-seed $(SIM_START_SEED) -check transport
 
+# The 200-seed sweep is the check that runs the socket world's
+# session-dropping elastic recovery under the harness's invariants.
 ci: build test-matrix race vet bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke
+	$(MAKE) sim-multi-seed SEEDS=200

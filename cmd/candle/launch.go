@@ -9,11 +9,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"time"
 
+	"candle/internal/candle"
 	"candle/internal/launch"
+	"candle/internal/mpi"
 	"candle/internal/proc"
 )
 
@@ -109,53 +110,44 @@ func (l *launcher) run() error {
 	defer stopSig()
 
 	// Elasticity is the launcher's: the workers it spawns run one
-	// generation each and report a rank failure through exit 75.
+	// generation each and report a rank failure through exit 75. Each
+	// worker process is one group of the elastic driver.
 	totalRanks, elastic := l.Ranks, l.Elastic
 	l.Elastic = false
 	ranksPerProc := totalRanks / l.Procs
-	// alive maps generation proc indices to original proc identities.
-	alive := make([]int, l.Procs)
-	for i := range alive {
-		alive[i] = i
+	groups := make([]int, l.Procs)
+	for i := range groups {
+		groups[i] = ranksPerProc
 	}
-	gen := 0
-	var failures []failureInfo
-	for {
-		l.Ranks = len(alive) * ranksPerProc
-		results, killedRank, err := l.runGeneration(len(alive), ranksPerProc, gen)
-		if err == nil {
-			sort.Slice(results, func(i, j int) bool { return results[i].Rank < results[j].Rank })
-			return l.report(totalRanks, results, gen+1, failures)
+	ranks, failures, err := candle.Elastic(groups, elastic, func(groups []int, gen int) ([]rankSummary, error) {
+		if gen > 0 {
+			fmt.Fprintf(l.stdout, "generation %d: respawning %d surviving procs\n", gen, len(groups))
+			// Scripted faults were consumed by the dead generation;
+			// chaos strikes only once.
+			l.Fault = ""
+			l.ChaosKill = -1
 		}
-		if !elastic || killedRank < 0 {
-			return err
-		}
-		pos := killedRank / ranksPerProc
-		if pos >= len(alive) {
-			return fmt.Errorf("failed rank %d outside the %d-rank world: %w", killedRank, l.Ranks, err)
-		}
-		fmt.Fprintf(l.stdout, "generation %d: rank %d (proc %d) failed; respawning %d survivors\n",
-			gen, killedRank, alive[pos], len(alive)-1)
-		failures = append(failures, failureInfo{Rank: killedRank, Proc: alive[pos], WorldSize: l.Ranks})
-		alive = append(alive[:pos:pos], alive[pos+1:]...)
-		gen++
-		if len(alive) == 0 {
-			return fmt.Errorf("elastic recovery exhausted all procs: %w", err)
-		}
-		// Scripted faults were consumed by the dead generation; chaos
-		// strikes only once.
-		l.Fault = ""
-		l.ChaosKill = -1
+		l.Ranks = len(groups) * ranksPerProc
+		return l.runGeneration(len(groups), ranksPerProc, gen)
+	})
+	if err != nil {
+		return err
 	}
+	infos := make([]failureInfo, len(failures))
+	for i, f := range failures {
+		infos[i] = failureInfo{Rank: f.Rank, Proc: f.Group, WorldSize: f.WorldSize}
+	}
+	return l.report(totalRanks, ranks, len(failures)+1, infos)
 }
 
 // runGeneration serves one rendezvous round and shepherds one set of
-// worker processes through it. On a rank failure it returns the failed
-// rank (≥0) so the elastic loop can drop the hosting proc.
-func (l *launcher) runGeneration(procs, ranksPerProc, gen int) ([]rankSummary, int, error) {
+// worker processes through it. A worker's exit-75 result file becomes
+// the generation's *mpi.RankFailedError, for the elastic driver to
+// drop the hosting proc.
+func (l *launcher) runGeneration(procs, ranksPerProc, gen int) ([]rankSummary, error) {
 	srv, err := launch.Serve(launch.ServerConfig{Network: l.Transport, Procs: procs, Gen: gen, Timeout: l.Timeout})
 	if err != nil {
-		return nil, -1, err
+		return nil, err
 	}
 	defer srv.Close()
 
@@ -180,51 +172,51 @@ func (l *launcher) runGeneration(procs, ranksPerProc, gen int) ([]rankSummary, i
 			"-local-ranks="+strconv.Itoa(ranksPerProc), "-proc-index="+strconv.Itoa(p),
 			"-generation="+strconv.Itoa(gen), "-out="+resPaths[p])
 		if _, err := g.Start(strconv.Itoa(p), argv); err != nil {
-			return nil, -1, fmt.Errorf("spawn worker %d: %w", p, err)
+			return nil, fmt.Errorf("spawn worker %d: %w", p, err)
 		}
 	}
 	if l.ChaosKill >= 0 && l.ChaosKill < procs {
 		go chaosKill(g, strconv.Itoa(l.ChaosKill), l.CkptDir)
 	}
 
-	// Collect every worker; remember the first rank failure.
-	var firstErr error
-	failedRank := -1
+	// Collect every worker; a rank failure beats any other error.
+	var failed, other error
 	for n := 0; n < procs; n++ {
 		select {
 		case x := <-exits:
-			if x.err == nil {
-				continue
-			}
 			var xe *exec.ExitError
-			if errors.As(x.err, &xe) && xe.ExitCode() == exitRankFailed {
-				if wr := readResult(resPaths[x.proc]); wr != nil && wr.FailedRank >= 0 && failedRank < 0 {
-					failedRank = wr.FailedRank
-					firstErr = fmt.Errorf("generation %d: rank %d failed in %s: %s", gen, wr.FailedRank, wr.FailedOp, wr.Err)
+			switch {
+			case x.err == nil:
+			case errors.As(x.err, &xe) && xe.ExitCode() == exitRankFailed:
+				if wr := readResult(resPaths[x.proc]); wr != nil && wr.FailedRank >= 0 && failed == nil {
+					failed = fmt.Errorf("generation %d: %w", gen,
+						&mpi.RankFailedError{Rank: wr.FailedRank, Op: wr.FailedOp, Cause: errors.New(wr.Err)})
 				}
-				continue
-			}
-			// A process that died without reporting (SIGKILL chaos, OOM)
-			// shows up through its survivors' peer-loss reports instead.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("generation %d: worker %d: %w", gen, x.proc, x.err)
+			case other == nil:
+				// A process that died without reporting (SIGKILL chaos,
+				// OOM) shows up through its survivors' peer-loss
+				// reports instead.
+				other = fmt.Errorf("generation %d: worker %d: %w", gen, x.proc, x.err)
 			}
 		case <-l.sigc:
-			return nil, -1, errors.New("terminated by signal during launch")
+			return nil, errors.New("terminated by signal during launch")
 		}
 	}
-	if firstErr != nil {
-		return nil, failedRank, firstErr
+	if failed != nil {
+		return nil, failed
+	}
+	if other != nil {
+		return nil, other
 	}
 	var all []rankSummary
 	for p, path := range resPaths {
 		wr := readResult(path)
 		if wr == nil {
-			return nil, -1, fmt.Errorf("generation %d: worker %d exited clean but left no result", gen, p)
+			return nil, fmt.Errorf("generation %d: worker %d exited clean but left no result", gen, p)
 		}
 		all = append(all, wr.Ranks...)
 	}
-	return all, -1, nil
+	return all, nil
 }
 
 // chaosKill SIGKILLs one worker process mid-run: once the first

@@ -113,7 +113,8 @@ type workerResult struct {
 	Ranks      []rankSummary `json:"ranks,omitempty"`
 	FailedRank int           `json:"failed_rank"`
 	FailedOp   string        `json:"failed_op,omitempty"`
-	Err        string        `json:"err,omitempty"`
+	// Err is the error, or on a rank failure its originating cause.
+	Err string `json:"err,omitempty"`
 }
 
 // runReal trains, then reports through stdout, the -out file and the
@@ -126,7 +127,7 @@ func (o *runOpts) runReal(stdout io.Writer) error {
 		res.Err = err.Error()
 		var rf *mpi.RankFailedError
 		if errors.As(err, &rf) {
-			res.FailedRank, res.FailedOp = rf.Rank, rf.Op
+			res.FailedRank, res.FailedOp, res.Err = rf.Rank, rf.Op, fmt.Sprint(rf.Cause)
 			err = &exitError{exitRankFailed, err}
 		}
 	}

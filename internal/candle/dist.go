@@ -3,7 +3,6 @@ package candle
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"candle/internal/launch"
@@ -12,12 +11,13 @@ import (
 
 // runDistributed is Run's worker-process path: join the rendezvous,
 // build the partial world over the assigned links, and run the same
-// three phases runAttempt runs — the schedule depends only on global
+// three phases Run runs — the schedule depends only on global
 // rank/size/seed, so results are bit-identical to the in-process world
 // of the same total size. Elastic restarts are the launcher's job at
 // this level: a rank failure (local or a lost peer process) surfaces as
 // the same typed *mpi.RankFailedError the in-process path produces, and
-// the launcher decides whether to respawn a shrunken generation.
+// the launcher's elastic driver decides whether to respawn a shrunken
+// generation.
 func (b *Benchmark) runDistributed(cfg RunConfig) (*RunResult, error) {
 	sess, err := launch.Join(launch.JoinConfig{
 		Network:    cfg.rendezvousNetwork(),
@@ -40,19 +40,11 @@ func (b *Benchmark) runDistributed(cfg RunConfig) (*RunResult, error) {
 		sess.CloseConns()
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		world.InjectFaults(cfg.Faults)
-	}
 	results, err := b.runOnWorld(cfg, world, false)
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Config:      cfg,
-		Ranks:       results,
-		Root:        results[0],
-		FaultsFired: cfg.Faults.Fired(),
-	}, nil
+	return cfg.result(results, nil), nil
 }
 
 // RunMultiProc runs the benchmark as `procs` independent worker
@@ -63,10 +55,11 @@ func (b *Benchmark) runDistributed(cfg RunConfig) (*RunResult, error) {
 // transport benchmark use to sweep cross-process behavior cheaply.
 //
 // cfg.Ranks is the total world size and must divide evenly by procs.
-// With cfg.Elastic, a generation that fails with a rank failure is
-// retried the way candle launch retries it: the proc hosting the
-// failed rank is dropped, the survivors rendezvous again as generation
-// g+1 with forceResume, and consumed faults stay consumed.
+// Each session is one group of the elastic driver, as each worker
+// process is under candle launch: with cfg.Elastic, a rank failure
+// drops the session hosting the failed rank, the survivors rendezvous
+// again as generation g+1 and resume from the checkpoint, and consumed
+// faults stay consumed.
 func (b *Benchmark) RunMultiProc(cfg RunConfig, procs int) (*RunResult, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("candle: procs must be positive, got %d", procs)
@@ -80,99 +73,57 @@ func (b *Benchmark) RunMultiProc(cfg RunConfig, procs int) (*RunResult, error) {
 	if cfg.Rendezvous != "" || cfg.LocalRanks != 0 {
 		return nil, fmt.Errorf("candle: RunMultiProc owns the rendezvous; leave Rendezvous and LocalRanks unset")
 	}
-	elastic := cfg.Elastic
+	if err := cfg.validateNames(); err != nil {
+		return nil, err
+	}
 	transportName := cfg.Transport
 	if transportName == "" {
 		transportName = "inproc"
 	}
-	// Static validation of everything else, with the per-proc fields
-	// stubbed in the shape the workers will use.
-	probe := cfg
-	probe.Elastic = false
-	probe.Transport = transportName
-	probe.Rendezvous = "probe"
-	probe.LocalRanks = cfg.Ranks / procs
-	if err := probe.Validate(); err != nil {
-		return nil, err
+	groups := make([]int, procs)
+	for i := range groups {
+		groups[i] = cfg.Ranks / procs
 	}
-
-	ranksPerProc := cfg.Ranks / procs
-	size := cfg.Ranks
-	gen := 0
-	var failures []FailureRecord
-	for {
-		results, err := b.multiProcAttempt(cfg, transportName, procs, ranksPerProc, size, gen)
-		if err == nil {
-			sort.Slice(results, func(i, j int) bool { return results[i].Rank < results[j].Rank })
-			return &RunResult{
-				Config:      cfg,
-				Ranks:       results,
-				Root:        results[0],
-				Failures:    failures,
-				Restarts:    len(failures),
-				FaultsFired: cfg.Faults.Fired(),
-			}, nil
-		}
-		var rf *mpi.RankFailedError
-		if !elastic || !errors.As(err, &rf) {
-			return nil, err
-		}
-		failures = append(failures, FailureRecord{
-			Rank: rf.Rank, WorldSize: size, Op: rf.Op, Err: rf,
-		})
-		// The launcher's recovery shape: drop the whole proc hosting the
-		// failed rank and rendezvous the survivors as the next
-		// generation.
-		procs--
-		size -= ranksPerProc
-		gen++
-		if procs < 1 || size < 1 {
-			return nil, fmt.Errorf("candle: elastic recovery exhausted all procs: %w", err)
-		}
-	}
-}
-
-// multiProcAttempt runs one generation: a rendezvous round plus procs
-// worker sessions, each on its own goroutine, merged into one result
-// set. The first rank failure wins error reporting, exactly like
-// World.Run.
-func (b *Benchmark) multiProcAttempt(cfg RunConfig, transportName string, procs, ranksPerProc, size, gen int) ([]RankResult, error) {
-	sessions, err := launch.StartLocal(transportName, procs, ranksPerProc, gen)
+	results, failures, err := Elastic(groups, cfg.Elastic, func(groups []int, gen int) ([]RankResult, error) {
+		return b.multiProcAttempt(cfg, transportName, groups, gen)
+	})
 	if err != nil {
 		return nil, err
 	}
-	perProc := make([][]RankResult, procs)
-	errs := make([]error, procs)
+	return cfg.result(results, failures), nil
+}
+
+// multiProcAttempt runs one generation: a rendezvous round plus one
+// worker session per group, each on its own goroutine, merged into one
+// result set in rank order. The first rank failure wins error
+// reporting, exactly like World.Run.
+func (b *Benchmark) multiProcAttempt(cfg RunConfig, transportName string, groups []int, gen int) ([]RankResult, error) {
+	sessions, err := launch.StartLocal(transportName, len(groups), groups[0], gen)
+	if err != nil {
+		return nil, err
+	}
+	perProc := make([][]RankResult, len(sessions))
+	errs := make([]error, len(sessions))
 	var wg sync.WaitGroup
 	for p, sess := range sessions {
 		wg.Add(1)
 		go func(p int, sess *launch.Session) {
 			defer wg.Done()
 			defer sess.Close()
-			if sess.WorldSize != size {
-				sess.CloseConns()
-				errs[p] = fmt.Errorf("candle: proc %d assigned world %d, expected %d", p, sess.WorldSize, size)
-				return
-			}
 			world, err := sess.NewWorld()
 			if err != nil {
 				sess.CloseConns()
 				errs[p] = err
 				return
 			}
-			if cfg.Faults != nil {
-				world.InjectFaults(cfg.Faults)
-			}
-			wcfg := cfg
-			wcfg.Elastic = false
-			// Elastic generations resume from the shared checkpoint
-			// directory, mirroring runAttempt's forceResume.
-			perProc[p], errs[p] = b.runOnWorld(wcfg, world, gen > 0)
+			// Later generations resume from the shared checkpoint
+			// directory, as Run's do.
+			perProc[p], errs[p] = b.runOnWorld(cfg, world, gen > 0)
 		}(p, sess)
 	}
 	wg.Wait()
 	// A rank failure anywhere beats secondary errors: it is the
-	// originating event the cascade (and the elastic loop) keys off.
+	// originating event the cascade (and the elastic driver) keys off.
 	var firstErr error
 	for _, err := range errs {
 		if err == nil {

@@ -131,8 +131,8 @@ type RunConfig struct {
 	KeepWeights bool
 	// TrackEpochs records a per-epoch trajectory in rank 0's
 	// RankResult: the run clock at each epoch end plus the model's test
-	// loss/accuracy evaluated there. This is how the e2e benchmark
-	// harness measures wall-clock-to-target-accuracy. Only rank 0
+	// loss/accuracy evaluated there. This is how benchmark/ measures
+	// wall-clock-to-target-accuracy. Only rank 0
 	// evaluates (a pure forward pass, no collectives), so replicas stay
 	// bit-identical; the evaluation time is real wall time and is
 	// included in the run like any measurement probe would be.
@@ -145,20 +145,8 @@ type RunConfig struct {
 // rendezvous address (or vice versa for the per-process fields) is
 // rejected here rather than hanging at join time.
 func (cfg *RunConfig) Validate() error {
-	if cfg.Engine != "" {
-		if _, err := csvio.ByName(cfg.Engine); err != nil {
-			return err
-		}
-	}
-	if cfg.DType != "" {
-		if _, err := tensor.ParseDType(cfg.DType); err != nil {
-			return err
-		}
-	}
-	if cfg.Transport != "" {
-		if _, err := transport.ByName(cfg.Transport); err != nil {
-			return err
-		}
+	if err := cfg.validateNames(); err != nil {
+		return err
 	}
 	distributed := cfg.Transport != "" && cfg.Transport != "inproc"
 	if distributed && cfg.Rendezvous == "" {
@@ -186,6 +174,27 @@ func (cfg *RunConfig) Validate() error {
 		}
 		if cfg.Generation != 0 {
 			return fmt.Errorf("candle: generation set without a rendezvous address")
+		}
+	}
+	return nil
+}
+
+// validateNames checks that Engine, DType and Transport name things
+// that exist.
+func (cfg *RunConfig) validateNames() error {
+	if cfg.Engine != "" {
+		if _, err := csvio.ByName(cfg.Engine); err != nil {
+			return err
+		}
+	}
+	if cfg.DType != "" {
+		if _, err := tensor.ParseDType(cfg.DType); err != nil {
+			return err
+		}
+	}
+	if cfg.Transport != "" {
+		if _, err := transport.ByName(cfg.Transport); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -227,9 +236,10 @@ func (cfg *RunConfig) engineForRank(c *mpi.Comm, clock func() float64) (csvio.Re
 }
 
 // FailureRecord documents one rank failure absorbed by the elastic
-// recovery loop.
+// driver.
 type FailureRecord struct {
 	Rank      int    // rank that failed
+	Group     int    // original index of the rank group dropped for it
 	WorldSize int    // world size when it failed
 	Op        string // operation the failure originated in
 	Err       error  // the originating *mpi.RankFailedError
@@ -292,12 +302,12 @@ type RunResult struct {
 // Run executes the benchmark's three phases on cfg.Ranks in-process
 // workers with real Horovod-style data-parallel training.
 //
-// With cfg.Elastic, a rank failure does not abort the run: the world
-// is restarted without the failed rank, the model is restored from the
-// latest checkpoint (when CheckpointDir is set), the learning rate is
-// re-scaled to the surviving size (when ScaleLR is set), and training
-// continues. The result reports the shrunken world plus the absorbed
-// failures.
+// With cfg.Elastic, a rank failure does not abort the run: the elastic
+// driver, over groups of one rank, restarts the world without the
+// failed rank, the model is restored from the latest checkpoint (when
+// CheckpointDir is set), the learning rate is re-scaled to the
+// surviving size (when ScaleLR is set), and training continues. The
+// result reports the shrunken world plus the absorbed failures.
 func (b *Benchmark) Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("candle: ranks must be positive, got %d", cfg.Ranks)
@@ -311,43 +321,30 @@ func (b *Benchmark) Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Rendezvous != "" {
 		return b.runDistributed(cfg)
 	}
-	size := cfg.Ranks
-	var failures []FailureRecord
-	for {
-		results, err := b.runAttempt(cfg, size, len(failures) > 0)
-		if err == nil {
-			return &RunResult{
-				Config:      cfg,
-				Ranks:       results,
-				Root:        results[0],
-				Failures:    failures,
-				Restarts:    len(failures),
-				FaultsFired: cfg.Faults.Fired(),
-			}, nil
-		}
-		var rf *mpi.RankFailedError
-		if !cfg.Elastic || !errors.As(err, &rf) {
-			return nil, err
-		}
-		failures = append(failures, FailureRecord{
-			Rank: rf.Rank, WorldSize: size, Op: rf.Op, Err: rf,
-		})
-		size--
-		if size < 1 {
-			return nil, fmt.Errorf("candle: elastic recovery exhausted all ranks: %w", err)
-		}
+	groups := make([]int, cfg.Ranks)
+	for i := range groups {
+		groups[i] = 1
 	}
+	results, failures, err := Elastic(groups, cfg.Elastic, func(groups []int, gen int) ([]RankResult, error) {
+		return b.runOnWorld(cfg, mpi.NewWorld(len(groups)), gen > 0)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cfg.result(results, failures), nil
 }
 
-// runAttempt is one world's worth of Run: all three benchmark phases
-// on `ranks` in-process workers. forceResume restores from the latest
-// checkpoint regardless of cfg.Resume — the elastic restart path.
-func (b *Benchmark) runAttempt(cfg RunConfig, ranks int, forceResume bool) ([]RankResult, error) {
-	world := mpi.NewWorld(ranks)
-	if cfg.Faults != nil {
-		world.InjectFaults(cfg.Faults)
+// result assembles a completed run from its ranks, in rank order, and
+// the failures elastic recovery absorbed on the way.
+func (cfg RunConfig) result(ranks []RankResult, failures []FailureRecord) *RunResult {
+	return &RunResult{
+		Config:      cfg,
+		Ranks:       ranks,
+		Root:        ranks[0],
+		Failures:    failures,
+		Restarts:    len(failures),
+		FaultsFired: cfg.Faults.Fired(),
 	}
-	return b.runOnWorld(cfg, world, forceResume)
 }
 
 // runOnWorld runs the three benchmark phases on an already-built world
@@ -355,7 +352,10 @@ func (b *Benchmark) runAttempt(cfg RunConfig, ranks int, forceResume bool) ([]Ra
 // distributed run). The schedule depends only on global quantities
 // (world size, rank, seed), so the same config produces bit-identical
 // weights whether the world lives in one process or several. It
-// returns results for the locally hosted ranks, ascending.
+// returns results for the locally hosted ranks, ascending. The config's
+// fault plan is injected into the world; forceResume restores from the
+// latest checkpoint regardless of cfg.Resume (the elastic restart
+// path).
 //
 // Each local rank is one goroutine driving tensor kernels. They share
 // tensor's worker pool, which is sized to GOMAXPROCS once and is a hard
@@ -364,6 +364,7 @@ func (b *Benchmark) runAttempt(cfg RunConfig, ranks int, forceResume bool) ([]Ra
 // oversubscription the paper flags on shared nodes — and nothing here
 // resizes it.
 func (b *Benchmark) runOnWorld(cfg RunConfig, world *mpi.World, forceResume bool) ([]RankResult, error) {
+	world.InjectFaults(cfg.Faults)
 	ranks := world.Size()
 	locals := world.LocalRanks()
 	batch := cfg.Batch

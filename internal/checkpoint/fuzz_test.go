@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-// seedFiles returns one snapshot in each on-disk generation Load reads:
-// v2 as Save writes it at f64 and at f32, v1 (gob payload + CRC
-// footer), and a bare legacy gob.
+// seedFiles returns v2 snapshots as Save writes them at f64 and at
+// f32, plus the two earlier formats Load must reject: v1 (gob payload
+// + CRC footer, no header) and a bare gob.
 func seedFiles(tb testing.TB) (v2f64, v2f32, v1, bare []byte) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "seed.ckpt")
@@ -46,14 +46,37 @@ func seedFiles(tb testing.TB) (v2f64, v2f32, v1, bare []byte) {
 }
 
 // FuzzLoad feeds arbitrary bytes to Load, then flips one byte (at, by
-// mask) of any input that loaded from a sealed file. Load must never
-// panic, and the flipped copy must come back as an error wrapping
-// ErrCorrupt when the byte lies anywhere in a v2 file, or in a v1
-// file's payload or CRC. A v1 file's magic is outside its seal: with
-// the magic damaged the file reads as a bare gob, gob stops decoding
-// at the end of the value, and the intact payload loads unreported.
+// mask) of any input that loaded. Only sealed v2 files load, and the
+// seal covers every byte, so Load must never panic, and the flipped
+// copy must come back as an error wrapping ErrCorrupt. Before fuzzing
+// it checks the same exhaustively on the seeds: every single-byte flip
+// of each v2 seed is ErrCorrupt, and the v1 and bare seeds themselves
+// are rejected as ErrCorrupt.
 func FuzzLoad(f *testing.F) {
 	v2f64, v2f32, v1, bare := seedFiles(f)
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	load := func(tb testing.TB, path string, b []byte) error {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+		_, err := Load(path)
+		return err
+	}
+	for name, seed := range map[string][]byte{"v1": v1, "bare": bare} {
+		if err := load(f, path, seed); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("%s seed: Load = %v, want ErrCorrupt", name, err)
+		}
+	}
+	for _, seed := range [][]byte{v2f64, v2f32} {
+		for i := range seed {
+			flipped := append([]byte(nil), seed...)
+			flipped[i] ^= 0x01
+			if err := load(f, path, flipped); !errors.Is(err, ErrCorrupt) {
+				f.Fatalf("byte %d of a %d-byte seed flipped: Load = %v, want ErrCorrupt", i, len(seed), err)
+			}
+		}
+	}
+
 	for _, seed := range [][]byte{v2f64, v2f32, v1, bare} {
 		f.Add(seed, uint32(0), byte(0))
 		f.Add(seed, uint32(len(seed)/2), byte(0x01))
@@ -65,31 +88,14 @@ func FuzzLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, at uint32, mask byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
-		load := func(b []byte) error {
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := Load(path)
-			return err
-		}
-		if err := load(data); err != nil || mask == 0 {
+		if err := load(t, path, data); err != nil || mask == 0 || len(data) == 0 {
 			return
 		}
-		sealed := 0
-		switch {
-		case len(data) >= headerLen && string(data[:4]) == magicV2:
-			sealed = len(data)
-		case len(data) >= footerLen && string(data[len(data)-4:]) == magic:
-			sealed = len(data) - 4
-		}
-		if sealed == 0 {
-			return // a bare gob: nothing seals it
-		}
-		i := int(at % uint32(sealed))
+		i := int(at % uint32(len(data)))
 		flipped := append([]byte(nil), data...)
 		flipped[i] ^= mask
-		if err := load(flipped); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("byte %d of a %d-byte sealed file flipped: Load = %v, want ErrCorrupt", i, len(data), err)
+		if err := load(t, path, flipped); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d of a %d-byte loadable file flipped: Load = %v, want ErrCorrupt", i, len(data), err)
 		}
 	})
 }

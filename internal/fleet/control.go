@@ -1,27 +1,21 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"time"
 
 	"candle/internal/launch"
 )
 
-// The fleet control plane: replicas register with the router over the
-// same JSON-lines convention internal/launch's rendezvous uses — one
-// request line, one reply line, typed errors as stable wire codes
-// (launch.ErrCode / launch.CodeErr) — so both control planes speak
-// one dialect. Registration is a oneshot: the connection closes after
-// the assign and liveness is the health prober's job, not the
-// socket's.
+// The fleet control plane: replicas register with the router through
+// internal/launch's control-plane listener and client, the same ones
+// the rendezvous round runs on — one request line, one reply line,
+// typed errors as stable wire codes (launch.ErrCode / launch.CodeErr).
+// Registration is a oneshot: the connection closes after the assign
+// and liveness is the health prober's job, not the socket's.
 
 // ErrDuplicateReplica is launch's duplicate-registration error under
 // its fleet name: a join with the id of a live member. Sharing the
@@ -45,24 +39,13 @@ type controlMsg struct {
 	Msg  string `json:"msg,omitempty"`
 }
 
-// maxControlLine bounds one control-plane line; a join is tiny.
-const maxControlLine = 1 << 16
-
 // decodeJoin parses one registration line. It is strict (unknown
 // fields and trailing garbage rejected) and total: no input panics
 // it — the fuzz test holds it to that.
 func decodeJoin(line []byte) (controlMsg, error) {
-	var msg controlMsg
-	if len(bytes.TrimSpace(line)) == 0 {
-		return msg, errors.New("fleet: empty control message")
-	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&msg); err != nil {
-		return msg, fmt.Errorf("fleet: decoding control message: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return msg, errors.New("fleet: trailing data after control message")
+	msg, err := launch.Decode[controlMsg](line)
+	if err != nil {
+		return msg, err
 	}
 	if msg.Type != "join" {
 		return msg, fmt.Errorf("fleet: unexpected control message type %q", msg.Type)
@@ -76,66 +59,28 @@ func decodeJoin(line []byte) (controlMsg, error) {
 	return msg, nil
 }
 
-func writeControl(c net.Conn, msg controlMsg) error {
-	b, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	_, err = c.Write(append(b, '\n'))
-	return err
-}
-
-// ServeControl answers registrations on ln until Shutdown. It is the
-// blocking counterpart of launch's rendezvous Serve.
+// ServeControl answers registrations on ln until Shutdown: the
+// registration handler on launch's control-plane listener.
 func (r *Router) ServeControl(ln net.Listener) error {
 	r.ctlMu.Lock()
 	r.ctlLn = ln
 	r.ctlMu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-r.stopc:
-				return nil
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		r.ctlWG.Add(1)
-		go func(c net.Conn) {
-			defer r.ctlWG.Done()
-			defer c.Close()
-			r.handleJoinConn(c)
-		}(c)
-	}
+	return r.ctl.Serve(ln)
 }
 
-func (r *Router) handleJoinConn(c net.Conn) {
-	c.SetDeadline(time.Now().Add(r.cfg.ProbeTimeout))
-	rd := bufio.NewReaderSize(c, maxControlLine)
-	line, err := rd.ReadBytes('\n')
-	if err != nil && len(line) == 0 {
-		return
-	}
-	msg, err := decodeJoin(line)
-	if err != nil {
-		_ = writeControl(c, controlMsg{Type: "error", Code: launch.ErrCode(err), Msg: err.Error()})
-		return
-	}
+// answerJoin registers one replica and replies with the fleet
+// generation it must serve.
+func (r *Router) answerJoin(msg controlMsg) any {
 	// A join from a replica the router cannot name its peer address
 	// for still carries an explicit addr; trust it (the health prober
 	// will find out fast if it lies).
 	m, err := r.register(msg.ID, msg.Addr, msg.Pid, msg.Epoch, msg.Step)
 	if err != nil {
-		_ = writeControl(c, controlMsg{Type: "error", Code: launch.ErrCode(err), Msg: err.Error()})
-		return
+		return launch.ErrorReply(err)
 	}
 	epoch, step := unpackGen(r.fleetGen.Load())
 	r.metrics.joins.Add(1)
-	_ = writeControl(c, controlMsg{Type: "assign", ID: m.id, Epoch: epoch, Step: step})
+	return controlMsg{Type: "assign", ID: m.id, Epoch: epoch, Step: step}
 }
 
 // Assign is the router's registration reply: the fleet generation the
@@ -151,74 +96,12 @@ type Assign struct {
 // announces this replica, and returns the fleet generation.
 func Register(ctx context.Context, network, ctlAddr, id, serveAddr string, epoch, step int) (*Assign, error) {
 	join := controlMsg{Type: "join", ID: id, Addr: serveAddr, Pid: os.Getpid(), Epoch: epoch, Step: step}
-	var lastErr error
-	backoff := 10 * time.Millisecond
-	for {
-		if a, err := registerOnce(ctx, network, ctlAddr, join); err == nil {
-			return a, nil
-		} else if !retryable(err) {
-			return nil, err
-		} else {
-			lastErr = err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("fleet: registering %s: %w (last: %v)", id, ctx.Err(), lastErr)
-		case <-time.After(backoff):
-		}
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// retryable: transport-level trouble is worth retrying (the router
-// may not be listening yet); a rejection the router actually sent —
-// or a reply it garbled — is an answer.
-func retryable(err error) bool {
-	var rej *rejectError
-	return !errors.As(err, &rej) && !errors.Is(err, errBadAssign)
-}
-
-var errBadAssign = errors.New("fleet: malformed registration reply")
-
-// rejectError marks an error the router replied with (as opposed to
-// one reaching it); it unwraps to the typed error launch.CodeErr
-// rebuilt, so errors.Is(err, ErrDuplicateReplica) still works.
-type rejectError struct{ err error }
-
-func (e *rejectError) Error() string { return e.err.Error() }
-func (e *rejectError) Unwrap() error { return e.err }
-
-func registerOnce(ctx context.Context, network, ctlAddr string, join controlMsg) (*Assign, error) {
-	d := net.Dialer{}
-	c, err := d.DialContext(ctx, network, ctlAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		c.SetDeadline(dl)
-	} else {
-		c.SetDeadline(time.Now().Add(5 * time.Second))
-	}
-	if err := writeControl(c, join); err != nil {
-		return nil, err
-	}
-	line, err := bufio.NewReaderSize(c, maxControlLine).ReadBytes('\n')
-	if err != nil && len(line) == 0 {
-		return nil, err
-	}
 	var reply controlMsg
-	if err := json.Unmarshal(line, &reply); err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadAssign, err)
+	if err := launch.Call(ctx, network, ctlAddr, join, &reply); err != nil {
+		return nil, fmt.Errorf("fleet: registering %s: %w", id, err)
 	}
-	switch reply.Type {
-	case "assign":
-		return &Assign{Epoch: reply.Epoch, Step: reply.Step}, nil
-	case "error":
-		return nil, &rejectError{err: launch.CodeErr(reply.Code, reply.Msg)}
-	default:
-		return nil, fmt.Errorf("%w: unexpected type %q", errBadAssign, reply.Type)
+	if reply.Type != "assign" {
+		return nil, fmt.Errorf("fleet: registering %s: unexpected %q reply", id, reply.Type)
 	}
+	return &Assign{Epoch: reply.Epoch, Step: reply.Step}, nil
 }

@@ -41,6 +41,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"candle/internal/launch"
 )
 
 // Config describes one router.
@@ -147,9 +149,9 @@ type Router struct {
 	lastReloadErr string
 	reloads       int
 
-	ctlMu  sync.Mutex
-	ctlLn  net.Listener
-	ctlWG  sync.WaitGroup
+	ctlMu   sync.Mutex
+	ctlLn   net.Listener
+	ctl     launch.Listener[controlMsg]
 	httpMu  sync.Mutex
 	httpLn  net.Listener
 	httpSrv *http.Server
@@ -169,6 +171,7 @@ func NewRouter(cfg Config) *Router {
 		members: make(map[string]*member),
 		stopc:   make(chan struct{}),
 	}
+	r.ctl = launch.Listener[controlMsg]{Decode: decodeJoin, Handle: r.answerJoin, ReadTimeout: cfg.ProbeTimeout}
 	r.route.Store(&routeSet{})
 	r.loopWG.Add(1)
 	go r.healthLoop()
@@ -298,7 +301,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		done := make(chan struct{})
 		go func() {
 			r.loopWG.Wait()
-			r.ctlWG.Wait()
+			r.ctl.Wait()
 			close(done)
 		}()
 		select {

@@ -1,10 +1,8 @@
 package launch
 
 import (
-	"bufio"
-	"encoding/json"
+	"context"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -127,52 +125,19 @@ func Join(cfg JoinConfig) (*Session, error) {
 // register performs the control-plane exchange: one join line out, one
 // assign (or error) line back.
 func register(cfg JoinConfig, dataAddr string, deadline time.Time) (*wireMsg, error) {
-	conn, err := dialRetry(cfg.Network, cfg.Rendezvous, time.Until(deadline))
-	if err != nil {
-		return nil, fmt.Errorf("launch: proc %d rendezvous dial: %w", cfg.Proc, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	if err := writeMsg(conn, wireMsg{
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	var reply wireMsg
+	if err := Call(ctx, cfg.Network, cfg.Rendezvous, wireMsg{
 		Type: "join", Proc: cfg.Proc, Ranks: cfg.Ranks,
 		Addr: dataAddr, Transport: cfg.Transport,
-	}); err != nil {
-		return nil, fmt.Errorf("launch: proc %d join write: %w", cfg.Proc, err)
+	}, &reply); err != nil {
+		return nil, fmt.Errorf("launch: proc %d rendezvous: %w", cfg.Proc, err)
 	}
-	var reply wireMsg
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
-		return nil, fmt.Errorf("launch: proc %d waiting for assignment: %w", cfg.Proc, err)
-	}
-	switch reply.Type {
-	case "assign":
-		return &reply, nil
-	case "error":
-		return nil, CodeErr(reply.Code, reply.Msg)
-	default:
+	if reply.Type != "assign" {
 		return nil, fmt.Errorf("launch: proc %d got unexpected %q reply", cfg.Proc, reply.Type)
 	}
-}
-
-// dialRetry dials the control plane with backoff until the deadline —
-// workers routinely start before the launcher has bound the socket.
-func dialRetry(network, addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := 2 * time.Millisecond
-	for {
-		c, err := net.Dial(network, addr)
-		if err == nil {
-			return c, nil
-		}
-		if remain := time.Until(deadline); remain <= 0 {
-			return nil, fmt.Errorf("retries exhausted after %v: %w", timeout, err)
-		} else if backoff > remain {
-			backoff = remain
-		}
-		time.Sleep(backoff)
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
-		}
-	}
+	return &reply, nil
 }
 
 // openMesh establishes every boundary-crossing link this process

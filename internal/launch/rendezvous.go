@@ -3,8 +3,8 @@
 // full-mesh data-plane handshake that turns a set of processes into
 // one mpi world (via mpi.NewPartialWorld).
 //
-// The control plane is deliberately simple — JSON lines over a Unix or
-// TCP socket:
+// The control plane (control.go) is deliberately simple — one JSON
+// line each way over a Unix or TCP socket; a rendezvous round reads:
 //
 //	worker → server  {"type":"join","proc":0,"ranks":2,"addr":"...","transport":"unix"}
 //	server → worker  {"type":"assign","world":4,"rank_lo":0,"rank_hi":2,"gen":0,"peers":[...]}
@@ -18,8 +18,6 @@
 package launch
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -45,9 +43,9 @@ var (
 
 // ErrCode maps a typed failure to its stable wire code ("duplicate",
 // "timeout", "closed", or the catch-all "error"). It is exported —
-// with its inverse CodeErr — so other JSON-lines control planes (the
-// fleet's replica registration, for one) reuse the same typed-error
-// wire convention instead of inventing a parallel one.
+// with its inverse CodeErr — for the other handlers on the control
+// plane (the fleet's replica registration), whose typed errors cross
+// the wire the same way.
 func ErrCode(err error) string {
 	switch {
 	case errors.Is(err, ErrDuplicateProc):
@@ -101,6 +99,10 @@ type peerInfo struct {
 	Addr   string `json:"addr"`
 }
 
+// lineTimeout bounds a join's request line when the round itself is
+// unbounded.
+var lineTimeout = 10 * time.Second
+
 // ServerConfig configures a rendezvous round.
 type ServerConfig struct {
 	// Network is the control-plane socket family: "unix" or "tcp".
@@ -113,28 +115,50 @@ type ServerConfig struct {
 	// Gen is the world generation, stamped into assignments so stale
 	// workers from a previous elastic generation are rejected by peers.
 	Gen int
-	// Timeout bounds the whole round; 0 means no timeout.
+	// Timeout bounds the whole round, and each join's request line;
+	// 0 leaves the round unbounded and bounds the line at 10 s.
 	Timeout time.Duration
 }
 
 // Server runs one rendezvous round: it collects Procs joins, assigns
 // contiguous rank ranges in proc-index order, and replies to every
-// worker with the full peer map.
+// worker with the full peer map. The round is a handler on the
+// control-plane Listener: each join blocks until the round completes.
 type Server struct {
 	cfg     ServerConfig
 	ln      net.Listener
 	cleanup string
 
-	joins     chan joinConn
+	joins     chan joinReq
 	closeOnce sync.Once
 	closed    chan struct{}
 	done      chan struct{}
 	err       error
 }
 
-type joinConn struct {
-	conn net.Conn
-	msg  wireMsg
+// joinReq is one worker's join waiting for the round's answer.
+type joinReq struct {
+	msg   wireMsg
+	reply chan any
+}
+
+// decodeJoin parses one rendezvous request line: strictly, and only a
+// join for a non-negative proc hosting at least one rank. Whether the
+// proc index fits the round is the round's to say.
+func decodeJoin(line []byte) (wireMsg, error) {
+	msg, err := Decode[wireMsg](line)
+	if err != nil {
+		return msg, err
+	}
+	switch {
+	case msg.Type != "join":
+		return msg, fmt.Errorf("launch: unexpected control message type %q", msg.Type)
+	case msg.Proc < 0:
+		return msg, fmt.Errorf("launch: negative proc index %d", msg.Proc)
+	case msg.Ranks <= 0:
+		return msg, fmt.Errorf("launch: proc %d declared %d ranks", msg.Proc, msg.Ranks)
+	}
+	return msg, nil
 }
 
 // Serve binds the control socket and starts the round.
@@ -169,11 +193,15 @@ func Serve(cfg ServerConfig) (*Server, error) {
 		cfg:     cfg,
 		ln:      ln,
 		cleanup: cleanup,
-		joins:   make(chan joinConn),
+		joins:   make(chan joinReq),
 		closed:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go s.acceptLoop()
+	ctl := &Listener[wireMsg]{Decode: decodeJoin, Handle: s.join, ReadTimeout: cfg.Timeout}
+	if ctl.ReadTimeout <= 0 {
+		ctl.ReadTimeout = lineTimeout
+	}
+	go ctl.Serve(ln)
 	go s.coordinate()
 	return s, nil
 }
@@ -181,35 +209,16 @@ func Serve(cfg ServerConfig) (*Server, error) {
 // Addr returns the control-plane address workers join.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Network returns the control-plane socket family.
-func (s *Server) Network() string { return s.cfg.Network }
-
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go func(c net.Conn) {
-			var msg wireMsg
-			if s.cfg.Timeout > 0 {
-				c.SetReadDeadline(time.Now().Add(s.cfg.Timeout))
-			}
-			if err := json.NewDecoder(bufio.NewReader(c)).Decode(&msg); err != nil || msg.Type != "join" {
-				c.Close()
-				return
-			}
-			c.SetReadDeadline(time.Time{})
-			select {
-			case s.joins <- joinConn{conn: c, msg: msg}:
-			case <-s.closed:
-				writeMsg(c, wireMsg{Type: "error", Code: ErrCode(ErrRendezvousClosed), Msg: "rendezvous closed"})
-				c.Close()
-			case <-s.done:
-				writeMsg(c, wireMsg{Type: "error", Code: "error", Msg: "rendezvous round already completed"})
-				c.Close()
-			}
-		}(c)
+// join hands one worker's join to the round and waits for its answer.
+func (s *Server) join(msg wireMsg) any {
+	req := joinReq{msg: msg, reply: make(chan any, 1)}
+	select {
+	case s.joins <- req:
+		return <-req.reply
+	case <-s.closed:
+		return errorReply{Type: "error", Code: ErrCode(ErrRendezvousClosed), Msg: "rendezvous closed"}
+	case <-s.done:
+		return errorReply{Type: "error", Code: "error", Msg: "rendezvous round already completed"}
 	}
 }
 
@@ -229,35 +238,26 @@ func (s *Server) coordinate() {
 		defer tm.Stop()
 		timeout = tm.C
 	}
-	joined := make(map[int]joinConn)
+	joined := make(map[int]joinReq)
 	fail := func(err error, detail string) {
 		s.err = err
 		for _, j := range joined {
-			writeMsg(j.conn, wireMsg{Type: "error", Code: ErrCode(err), Msg: detail})
-			j.conn.Close()
+			j.reply <- errorReply{Type: "error", Code: ErrCode(err), Msg: detail}
 		}
 	}
 	for len(joined) < s.cfg.Procs {
 		select {
 		case j := <-s.joins:
-			if j.msg.Proc < 0 || j.msg.Proc >= s.cfg.Procs {
-				writeMsg(j.conn, wireMsg{Type: "error", Code: "error",
-					Msg: fmt.Sprintf("proc index %d outside [0,%d)", j.msg.Proc, s.cfg.Procs)})
-				j.conn.Close()
+			if j.msg.Proc >= s.cfg.Procs {
+				j.reply <- errorReply{Type: "error", Code: "error",
+					Msg: fmt.Sprintf("proc index %d outside [0,%d)", j.msg.Proc, s.cfg.Procs)}
 				continue
 			}
 			if _, dup := joined[j.msg.Proc]; dup {
 				// The round keeps the first registration; the imposter
 				// gets the typed rejection.
-				writeMsg(j.conn, wireMsg{Type: "error", Code: ErrCode(ErrDuplicateProc),
-					Msg: fmt.Sprintf("proc %d already registered", j.msg.Proc)})
-				j.conn.Close()
-				continue
-			}
-			if j.msg.Ranks <= 0 {
-				writeMsg(j.conn, wireMsg{Type: "error", Code: "error",
-					Msg: fmt.Sprintf("proc %d declared %d ranks", j.msg.Proc, j.msg.Ranks)})
-				j.conn.Close()
+				j.reply <- errorReply{Type: "error", Code: ErrCode(ErrDuplicateProc),
+					Msg: fmt.Sprintf("proc %d already registered", j.msg.Proc)}
 				continue
 			}
 			joined[j.msg.Proc] = j
@@ -284,13 +284,11 @@ func (s *Server) coordinate() {
 		lo += j.msg.Ranks
 	}
 	for i, p := range procs {
-		j := joined[p]
-		writeMsg(j.conn, wireMsg{
+		joined[p].reply <- wireMsg{
 			Type: "assign", World: lo, Gen: s.cfg.Gen,
 			RankLo: peers[i].RankLo, RankHi: peers[i].RankHi,
 			Peers: peers,
-		})
-		j.conn.Close()
+		}
 	}
 }
 
@@ -307,14 +305,4 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() { close(s.closed) })
 	<-s.done
 	return nil
-}
-
-func writeMsg(c net.Conn, m wireMsg) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, err = c.Write(append(b, '\n'))
-	return err
 }

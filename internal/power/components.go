@@ -107,10 +107,10 @@ func (m ComponentModel) Samples(p Profile, rateHz float64) []ComponentSample {
 	return out
 }
 
-// ContainerComponents returns the component model the e2e benchmark
-// harness uses for the measurement host (a small x86 container or
-// laptop core): the same phase structure CapMC reports on Theta,
-// scaled to commodity-node draws. Compute saturates the package;
+// ContainerComponents returns the component model benchmark/ uses for
+// the measurement host (a small x86 container or laptop core): the
+// same phase structure CapMC reports on Theta, scaled to commodity-node
+// draws. Compute saturates the package;
 // loading and collectives are I/O/wait-bound with lower draw. These
 // are modeling assumptions, not measurements — the harness documents
 // them next to every joule it emits (DESIGN.md §19), and a deployment

@@ -249,8 +249,9 @@ func firedAborts(fired []string) []string {
 // classify applies the fault-outcome and sanity invariants to one run:
 // every scenario either completes (elastically when faults fired) or
 // surfaces exactly one typed *mpi.RankFailedError naming a scripted
-// rank — and a completed run's replicas are finite, synchronized, and
-// account for every fired fault with a restart.
+// rank — and a completed run's replicas are finite, synchronized,
+// account for every fired fault with a restart, and number the initial
+// ranks less the groups those restarts dropped.
 func (h *Harness) classify(sc *Scenario, o outcome) *Violation {
 	if o.err != nil {
 		var dl *DeadlockError
@@ -283,6 +284,12 @@ func (h *Harness) classify(sc *Scenario, o outcome) *Violation {
 	}
 	if o.res.Restarts != len(aborts) {
 		return h.violation(sc, "fault-outcome", "%s run reports %d restarts but %d aborting faults fired (%v)", o.label, o.res.Restarts, len(aborts), aborts)
+	}
+	// Each absorbed failure costs the whole group hosting the failed
+	// rank: one rank in the channel world, one session over sockets.
+	if want := sc.Ranks - len(o.res.Failures)*sc.groupSize(); len(o.res.Ranks) != want {
+		return h.violation(sc, "fault-outcome", "%s run finished on %d ranks; %d ranks less %d failed groups of %d leave %d",
+			o.label, len(o.res.Ranks), sc.Ranks, len(o.res.Failures), sc.groupSize(), want)
 	}
 	for _, f := range o.res.Failures {
 		if !sc.scriptedRanks()[f.Rank] {

@@ -81,8 +81,9 @@ type Scenario struct {
 	// classic single-process channel world; "unix" splits the ranks
 	// over two rendezvous'd worker sessions whose cross-boundary links
 	// run over real Unix sockets (candle.RunMultiProc), sweeping the
-	// multi-process path through the same invariants. Drawn only for
-	// even rank counts, so the split is clean.
+	// multi-process path, its elastic recovery included, through the
+	// same invariants. Drawn only for even rank counts, so the split
+	// is clean.
 	Transport string
 	Faults    []FaultSpec
 }
@@ -107,7 +108,8 @@ const (
 //     drawn only for elastic scenarios, at least two collective steps
 //     after the first, so it can only fire in the restarted world.
 //   - the kill budget stays below Ranks, so an elastic run cannot
-//     shrink to zero.
+//     shrink to zero; over sockets, where a failure costs a whole
+//     session, it stays below the session count.
 func Sample(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{Seed: seed}
@@ -178,14 +180,26 @@ func Sample(seed int64) Scenario {
 		})
 	}
 	// Transport split, drawn last so older seeds keep their exact fault
-	// draws. Elastic multi-process recovery drops the failed rank's
-	// whole session (two ranks, the launcher's shape) where the
-	// in-process world drops one rank — different invariant arithmetic
-	// — so aborting faults stay on the channel world.
-	if sc.Ranks >= 2 && sc.Ranks%2 == 0 && len(sc.abortFaults()) == 0 && rng.Intn(3) == 0 {
+	// draws. Elastic recovery drops the failed rank's whole session
+	// there (the launcher's shape), so the split is drawn only when the
+	// surviving sessions can absorb every drawn abort.
+	if sc.Ranks >= 2 && sc.Ranks%socketProcs == 0 && len(sc.abortFaults()) < socketProcs && rng.Intn(3) == 0 {
 		sc.Transport = "unix"
 	}
 	return sc
+}
+
+// socketProcs is how many worker sessions a socket-transport scenario
+// splits its ranks over (candle.RunMultiProc).
+const socketProcs = 2
+
+// groupSize is the rank count elastic recovery drops per failure: one
+// rank in the channel world, one whole session over sockets.
+func (sc *Scenario) groupSize() int {
+	if sc.Transport == "" {
+		return 1
+	}
+	return sc.Ranks / socketProcs
 }
 
 // abortFaults returns the scripted world-aborting faults.
@@ -317,7 +331,7 @@ func (sc *Scenario) Describe() string {
 		b.WriteString(" continue")
 	}
 	if sc.Transport != "" {
-		fmt.Fprintf(&b, " transport=%s(2 procs)", sc.Transport)
+		fmt.Fprintf(&b, " transport=%s(%d procs)", sc.Transport, socketProcs)
 	}
 	if len(sc.Faults) > 0 {
 		specs := make([]string, len(sc.Faults))

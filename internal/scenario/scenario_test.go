@@ -33,7 +33,7 @@ func TestSampleRespectsConstraints(t *testing.T) {
 	for _, e := range csvio.Engines() {
 		engines[e] = true
 	}
-	sawTransport := false
+	sawTransport, sawSocketAbort := false, false
 	for seed := int64(1); seed <= 500; seed++ {
 		sc := Sample(seed)
 		if sc.Ranks < 1 || sc.Ranks > 4 {
@@ -47,8 +47,13 @@ func TestSampleRespectsConstraints(t *testing.T) {
 			if sc.Ranks%2 != 0 {
 				t.Fatalf("seed %d: transport split on an odd %d-rank world", seed, sc.Ranks)
 			}
+			// A failure there costs a whole session: the survivors
+			// must be able to absorb every drawn abort.
+			if len(sc.abortFaults()) >= socketProcs {
+				t.Fatalf("seed %d: more aborting faults than the sessions absorb: %s", seed, sc.Describe())
+			}
 			if len(sc.abortFaults()) > 0 {
-				t.Fatalf("seed %d: aborting faults drawn on the multi-process world: %s", seed, sc.Describe())
+				sawSocketAbort = true
 			}
 		}
 		perRank := sc.TotalEpochs
@@ -103,6 +108,9 @@ func TestSampleRespectsConstraints(t *testing.T) {
 	}
 	if !sawTransport {
 		t.Fatal("500 seeds never drew the multi-process transport dimension")
+	}
+	if !sawSocketAbort {
+		t.Fatal("500 seeds never drew an aborting fault on the multi-process world")
 	}
 }
 

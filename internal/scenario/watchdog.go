@@ -42,10 +42,10 @@ func (h *Harness) execute(seed int64, phase string, b *candle.Benchmark, cfg can
 	if run == nil {
 		run = func(b *candle.Benchmark, cfg candle.RunConfig) (*candle.RunResult, error) {
 			// A socket transport without a rendezvous address is the
-			// harness's multi-process form: two rendezvous'd worker
-			// sessions inside this process, real links in between.
+			// harness's multi-process form: socketProcs rendezvous'd
+			// worker sessions inside this process, real links between.
 			if cfg.Transport != "" && cfg.Transport != "inproc" && cfg.Rendezvous == "" {
-				return b.RunMultiProc(cfg, 2)
+				return b.RunMultiProc(cfg, socketProcs)
 			}
 			return b.Run(cfg)
 		}
