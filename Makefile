@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: build test test-matrix race vet loc bench-build bench bench-optimizer-smoke bench-smoke \
-	launch-smoke fleet-smoke ci \
+.PHONY: build test test-matrix race vet loc reach bench-build bench bench-optimizer-smoke bench-smoke \
+	fleet-race launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
 build:
@@ -19,6 +19,12 @@ test-matrix:
 race:
 	$(GO) test -race ./...
 
+# The router's health, reload and proxy loops race each other by
+# design; ten passes under the race detector give their interleavings
+# room to show.
+fleet-race:
+	$(GO) test -race -count=10 ./internal/fleet
+
 vet:
 	$(GO) vet ./...
 
@@ -26,6 +32,19 @@ vet:
 # benchmark (which measures the program and is not part of it).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -Ev '^[[:space:]]*(//|$$)' | wc -l
+
+# Every exported package-level function of internal/nn has a caller
+# outside the tests: build every main package without inlining (so a
+# small function keeps its symbol), list their symbols, and print each
+# nn function that none of them links. Anything printed fails the
+# target; tests do not count as callers.
+reach:
+	@d=$$(mktemp -d) && syms=$$(mktemp) && trap 'rm -rf $$d $$syms' EXIT && \
+	$(GO) build -gcflags=all=-l -o $$d/ $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	for b in $$d/*; do $(GO) tool nm $$b; done | \
+		sed -nE 's/.* candle\/internal\/nn\.([A-Za-z0-9_]+)(\[.*)?$$/\1/p' | sort -u > $$syms && \
+	dead=$$($(GO) doc -all ./internal/nn | sed -nE 's/^func ([A-Za-z0-9_]+).*/\1/p' | sort -u | comm -23 - $$syms) && \
+	if [ -n "$$dead" ]; then echo "$$dead"; exit 1; fi
 
 # The benchmark is the driver's gate and calls internal/ APIs directly;
 # name it explicitly so breaking one of them fails here, not there.
@@ -94,5 +113,5 @@ sim-transport:
 
 # The 200-seed sweep is the check that runs the socket world's
 # session-dropping elastic recovery under the harness's invariants.
-ci: build test-matrix race vet bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke
+ci: build test-matrix race fleet-race vet reach bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke
 	$(MAKE) sim-multi-seed SEEDS=200

@@ -34,7 +34,7 @@ type adviseOpts struct {
 //	candle advise -bench NT3 -min-accuracy 0.99 -deadline 300s
 func adviseCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var o adviseOpts
-	fs.StringVar(&o.bench, "bench", "NT3", benchUsage)
+	fs.StringVar(&o.bench, "bench", "NT3", simBenchUsage)
 	fs.StringVar(&o.machine, "machine", "summit", "summit or theta")
 	fs.StringVar(&o.objective, "objective", "time", "time, energy, or edp")
 	fs.Float64Var(&o.minAcc, "min-accuracy", 0, "accuracy floor (classification)")

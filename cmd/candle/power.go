@@ -17,7 +17,7 @@ import (
 //	candle power -bench NT3 -machine theta -ranks 384 -components
 func powerCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var (
-		bench      = fs.String("bench", "NT3", benchUsage)
+		bench      = fs.String("bench", "NT3", simBenchUsage)
 		machine    = fs.String("machine", "summit", "summit or theta")
 		ranks      = fs.Int("ranks", 384, "worker count")
 		loader     = fs.String("loader", "naive", "naive, chunked, parallel")

@@ -19,7 +19,13 @@ import (
 	"candle/internal/sim"
 )
 
-const benchUsage = "benchmark: NT3, P1B1, P1B2, P1B3"
+// The -bench help texts. Subcommands that build a real model resolve
+// the name through candle.Scaled, which also knows the Pilot2/Pilot3
+// models; the simulator only has the paper's four calibrations.
+const (
+	benchUsage    = "benchmark: NT3, P1B1, P1B2, P1B3, P2B1, P3B1"
+	simBenchUsage = "benchmark: NT3, P1B1, P1B2, P1B3"
+)
 
 // benchFlags is the benchmark-selection flag group of every subcommand
 // that trains or serves a real model. As for every flag group here, the

@@ -19,7 +19,7 @@ import (
 //	candle timeline -bench NT3 -ranks 768 -weak -epochs 8 -o fig19.json
 func timelineCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var (
-		bench  = fs.String("bench", "NT3", benchUsage)
+		bench  = fs.String("bench", "NT3", simBenchUsage)
 		ranks  = fs.Int("ranks", 384, "worker count")
 		epochs = fs.Int("epochs", 0, "epochs (0 = default)")
 		weak   = fs.Bool("weak", false, "weak scaling")

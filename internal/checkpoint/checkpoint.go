@@ -54,8 +54,8 @@ type Snapshot struct {
 	// fields zero).
 	OptName string
 	// OptState is the optimizer's internal state in
-	// nn.StatefulOptimizer capture order (momentum velocities, Adam
-	// moments + step count, ...). Restoring it alongside the weights is
+	// nn.StatefulOptimizer capture order (Adam moments + step count,
+	// RMSprop averages). Restoring it alongside the weights is
 	// what makes a resumed run continue bit-identically instead of
 	// silently resetting the optimizer.
 	OptState [][]float64

@@ -101,8 +101,10 @@ func packGen(epoch, step int) int64 { return int64(epoch)<<32 | int64(uint32(ste
 
 func unpackGen(g int64) (epoch, step int) { return int(g >> 32), int(uint32(g)) }
 
-// member is one registered replica. Health and generation are written
-// by the health/reload loops and read lock-free on the proxy path.
+// member is one registered replica. Its health and generation decide
+// whether it is route-eligible, so they are guarded by Router.mu and
+// change only together with the route set; the proxy path never reads
+// them, only the route set.
 type member struct {
 	id   string
 	addr string // host:port of the replica's HTTP listener
@@ -110,10 +112,11 @@ type member struct {
 	// because the health prober refreshes it while /healthz reads it.
 	pid atomic.Int64
 
+	healthy bool  // guarded by Router.mu
+	gen     int64 // packed generation the replica last reported; Router.mu
+
 	inflight atomic.Int64 // proxied requests currently outstanding
-	healthy  atomic.Bool
 	fails    atomic.Int32 // consecutive failed probes
-	gen      atomic.Int64 // packed generation the replica last reported
 	proxied  atomic.Uint64
 	failures atomic.Uint64 // proxy attempts that errored on this member
 }
@@ -125,16 +128,22 @@ type Router struct {
 	cfg     Config
 	metrics *Metrics
 
-	mu      sync.Mutex // membership, fleet generation transitions
+	// mu guards membership and every input of route eligibility (a
+	// member's health and generation, the fleet generation). Whoever
+	// changes one rebuilds the route set before releasing mu, so
+	// Members() never reports a state the route set does not yet
+	// reflect.
+	mu      sync.Mutex
 	members map[string]*member
 
 	// fleetGen is the packed generation every route-eligible replica
-	// serves; 0 means "no replica has joined yet".
+	// serves; 0 means "no replica has joined yet". Written under mu,
+	// read lock-free.
 	fleetGen atomic.Int64
 
 	// route is the immutable routing view (healthy, generation-matching
-	// members plus their hash ring), rebuilt on any membership, health,
-	// or generation change.
+	// members plus their hash ring), rebuilt under mu on any
+	// membership, health, or generation change.
 	route atomic.Pointer[routeSet]
 
 	// pause gates proxied requests around a commit wave: the proxy
@@ -198,16 +207,14 @@ func (r *Router) register(id, addr string, pid, epoch, step int) (*member, error
 		// A live replica re-registering under the same id is an
 		// imposter (or a split brain); a dead one is a restart, and the
 		// replacement inherits the slot.
-		if old.healthy.Load() {
+		if old.healthy {
 			return nil, fmt.Errorf("fleet: replica %q already registered: %w",
 				id, ErrDuplicateReplica)
 		}
 		delete(r.members, id)
 	}
-	m := &member{id: id, addr: addr}
+	m := &member{id: id, addr: addr, healthy: true, gen: packGen(epoch, step)}
 	m.pid.Store(int64(pid))
-	m.gen.Store(packGen(epoch, step))
-	m.healthy.Store(true)
 	r.members[id] = m
 	// The first replica's generation seeds the fleet's.
 	if r.fleetGen.Load() == 0 {
@@ -223,10 +230,10 @@ func (r *Router) Members() []MemberStatus {
 	defer r.mu.Unlock()
 	out := make([]MemberStatus, 0, len(r.members))
 	for _, m := range r.members {
-		e, s := unpackGen(m.gen.Load())
+		e, s := unpackGen(m.gen)
 		out = append(out, MemberStatus{
 			ID: m.id, Addr: m.addr, Pid: int(m.pid.Load()),
-			Healthy: m.healthy.Load(), Epoch: e, Step: s,
+			Healthy: m.healthy, Epoch: e, Step: s,
 			Inflight: int(m.inflight.Load()),
 			Proxied:  m.proxied.Load(), Failures: m.failures.Load(),
 		})
@@ -259,18 +266,11 @@ func (r *Router) rebuildRouteLocked() {
 	fleetGen := r.fleetGen.Load()
 	eligible := make([]*member, 0, len(r.members))
 	for _, m := range r.members {
-		if m.healthy.Load() && m.gen.Load() == fleetGen {
+		if m.healthy && m.gen == fleetGen {
 			eligible = append(eligible, m)
 		}
 	}
 	r.route.Store(newRouteSet(eligible))
-}
-
-// rebuildRoute is rebuildRouteLocked for callers not holding r.mu.
-func (r *Router) rebuildRoute() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rebuildRouteLocked()
 }
 
 // Shutdown stops the loops and listeners. Proxied requests in flight

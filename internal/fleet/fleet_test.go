@@ -29,14 +29,18 @@ type fakeReplica struct {
 	srv *httptest.Server
 
 	mu          sync.Mutex
-	epoch, step int    // serving generation
-	latestE     int    // newest loadable generation on "disk"
+	epoch, step int // serving generation
+	latestE     int // newest loadable generation on "disk"
 	latestS     int
-	skipped     int  // damaged-newer files /ckpt/latest reports
-	stagedE     int  // 0 = nothing staged
+	skipped     int // damaged-newer files /ckpt/latest reports
+	stagedE     int // 0 = nothing staged
 	stagedS     int
 	healthDown  bool // healthz answers 500
 	predictCode int  // nonzero: /predict answers this status
+	// block, when set, runs at the start of /reload/stage and
+	// /reload/commit with the path, outside mu, so a test can hold
+	// the router inside one control call.
+	block func(path string)
 
 	served atomic.Int64
 }
@@ -92,7 +96,17 @@ func (f *fakeReplica) handleLatest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": f.latestE, "step": f.latestS, "skipped": f.skipped})
 }
 
+func (f *fakeReplica) blockOn(path string) {
+	f.mu.Lock()
+	block := f.block
+	f.mu.Unlock()
+	if block != nil {
+		block(path)
+	}
+}
+
 func (f *fakeReplica) handleStage(w http.ResponseWriter, r *http.Request) {
+	f.blockOn(r.URL.Path)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stagedE, f.stagedS = f.latestE, f.latestS
@@ -100,6 +114,7 @@ func (f *fakeReplica) handleStage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *fakeReplica) handleCommit(w http.ResponseWriter, r *http.Request) {
+	f.blockOn(r.URL.Path)
 	var gen struct{ Epoch, Step int }
 	body, _ := io.ReadAll(r.Body)
 	_ = json.Unmarshal(body, &gen)
@@ -549,4 +564,125 @@ func TestStaleJoinerCaughtUp(t *testing.T) {
 		resp, _ := postPredict(t, baseURL, `{"features":[1]}`, nil)
 		return resp.Header.Get("X-Served-By") == "b"
 	})
+}
+
+// ---- route publication ---------------------------------------------
+
+// checkRouteMatchesMembers holds the router to its publication rule:
+// under r.mu, the route set is exactly the members Members() would
+// call eligible (healthy, at the fleet generation). Anything else is a
+// window in which /healthz and the proxy disagree about a replica.
+func checkRouteMatchesMembers(t *testing.T, r *Router, when string) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	routed := map[*member]bool{}
+	for _, m := range r.route.Load().members {
+		routed[m] = true
+	}
+	fleetGen := r.fleetGen.Load()
+	for _, m := range r.members {
+		if eligible := m.healthy && m.gen == fleetGen; eligible != routed[m] {
+			e, s := unpackGen(m.gen)
+			t.Errorf("%s: member %s (healthy %v, epoch %d step %d) eligible %v but routed %v",
+				when, m.id, m.healthy, e, s, eligible, routed[m])
+		}
+	}
+}
+
+// heldCall returns the channels a fake's block hook uses to hold one
+// control call open: entered is closed by the hook, release by the
+// test — or by cleanup, so a failing test never leaves a handler
+// blocking its server's Close.
+func heldCall(t *testing.T) (entered chan struct{}, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { releaseHeld(release) })
+	return entered, release
+}
+
+func releaseHeld(release chan struct{}) {
+	select {
+	case <-release:
+	default:
+		close(release)
+	}
+}
+
+// TestCatchUpRoutesAroundStaleReplica: a replica that comes back on
+// older weights leaves the route set the moment the prober records its
+// generation, not after the catch-up calls that follow. The stage call
+// is held open, so the window is as long as the test wants it.
+func TestCatchUpRoutesAroundStaleReplica(t *testing.T) {
+	r, ctlAddr, baseURL := newTestRouter(t, testRouterConfig())
+	a := newFakeReplica(t, "a", 2, 200)
+	b := newFakeReplica(t, "b", 2, 200)
+	mustRegister(t, ctlAddr, a)
+	mustRegister(t, ctlAddr, b)
+
+	entered, release := heldCall(t)
+	var once sync.Once
+	a.set(func(f *fakeReplica) {
+		f.epoch, f.step = 1, 100 // restarted on epoch 1; storage holds 2
+		f.block = func(path string) {
+			if path == "/reload/stage" {
+				once.Do(func() { close(entered) })
+				<-release
+			}
+		}
+	})
+	<-entered
+	checkRouteMatchesMembers(t, r, "while catching a up")
+	for i := 0; i < 20; i++ {
+		resp, decoded := postPredict(t, baseURL, `{"features":[1]}`, nil)
+		if resp.StatusCode != http.StatusOK || decoded["epoch"] != float64(2) {
+			t.Fatalf("request %d during catch-up: status %d, epoch %v (served by %s), want 200 at the fleet's epoch 2",
+				i, resp.StatusCode, decoded["epoch"], resp.Header.Get("X-Served-By"))
+		}
+	}
+	releaseHeld(release)
+	waitFor(t, "a back in rotation", func() bool {
+		resp, _ := postPredict(t, baseURL, `{"features":[1]}`, nil)
+		return resp.Header.Get("X-Served-By") == "a"
+	})
+	checkRouteMatchesMembers(t, r, "after catch-up")
+}
+
+// TestReloadPublishesGenerationWithRoute: a commit wave publishes the
+// members' new generation, the fleet's, and the route set in one step.
+// The second commit is held open: until it returns, no member may be
+// recorded at the new generation while the route set still describes
+// the old one.
+func TestReloadPublishesGenerationWithRoute(t *testing.T) {
+	r, ctlAddr, _ := newTestRouter(t, testRouterConfig())
+	a := newFakeReplica(t, "a", 1, 100)
+	b := newFakeReplica(t, "b", 1, 100)
+	mustRegister(t, ctlAddr, a)
+	mustRegister(t, ctlAddr, b)
+
+	var commits atomic.Int32
+	entered, release := heldCall(t)
+	block := func(path string) {
+		if path == "/reload/commit" && commits.Add(1) == 2 {
+			close(entered)
+			<-release
+		}
+	}
+	for _, f := range []*fakeReplica{a, b} {
+		f.set(func(f *fakeReplica) { f.latestE, f.latestS, f.block = 2, 200, block })
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := r.Reload()
+		done <- err
+	}()
+	<-entered
+	checkRouteMatchesMembers(t, r, "between the two commits")
+	releaseHeld(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkRouteMatchesMembers(t, r, "after the reload")
+	if rs := r.route.Load(); len(rs.members) != 2 {
+		t.Fatalf("route set has %d members after the reload, want 2", len(rs.members))
+	}
 }

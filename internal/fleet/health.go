@@ -57,8 +57,7 @@ func (r *Router) healthLoop() {
 	}
 }
 
-// probeAll probes every member once and rebuilds the route set if any
-// member's routing eligibility changed.
+// probeAll probes every member once.
 func (r *Router) probeAll() {
 	r.mu.Lock()
 	members := make([]*member, 0, len(r.members))
@@ -67,65 +66,60 @@ func (r *Router) probeAll() {
 	}
 	r.mu.Unlock()
 
-	changed := false
 	for _, m := range members {
-		if r.probe(m) {
-			changed = true
-		}
-	}
-	if changed {
-		r.rebuildRoute()
+		r.probe(m)
 	}
 }
 
-// probe checks one member, returning whether its routing eligibility
-// (health or generation) changed.
-func (r *Router) probe(m *member) (changed bool) {
+// probe checks one member and publishes what it learned — health and
+// generation together with the route set, under r.mu — before it
+// makes any further call. A healthy member behind the fleet generation
+// is then walked forward (catchUp) while it is out of the route set.
+func (r *Router) probe(m *member) {
+	fleetGen := r.fleetGen.Load()
 	h, err := r.fetchHealth(m)
-	if err != nil {
-		fails := m.fails.Add(1)
-		if int(fails) >= r.cfg.DeadAfter && m.healthy.Load() {
-			m.healthy.Store(false)
-			r.metrics.drains.Add(1)
-			return true
+	r.mu.Lock()
+	healthy, gen := m.healthy, m.gen
+	switch {
+	case err != nil:
+		if int(m.fails.Add(1)) >= r.cfg.DeadAfter {
+			healthy = false
 		}
-		return false
-	}
-	m.fails.Store(0)
-	// "draining" means the replica is shutting down on purpose: treat
-	// it like a death, without waiting for the port to go dark.
-	if h.Status == "draining" {
-		if m.healthy.Load() {
-			m.healthy.Store(false)
-			r.metrics.drains.Add(1)
-			return true
+	case h.Status == "draining":
+		// The replica is shutting down on purpose: treat it like a
+		// death, without waiting for the port to go dark.
+		m.fails.Store(0)
+		healthy = false
+	default:
+		m.fails.Store(0)
+		if h.Pid != 0 {
+			m.pid.Store(int64(h.Pid))
 		}
-		return false
+		healthy = true
+		// A reading taken before a reload commit was published may
+		// predate the commit; the next probe reads the replica again.
+		if r.fleetGen.Load() == fleetGen {
+			gen = packGen(h.Epoch, h.Step)
+		}
 	}
-	if h.Pid != 0 {
-		m.pid.Store(int64(h.Pid))
-	}
-	oldGen := m.gen.Load()
-	newGen := packGen(h.Epoch, h.Step)
-	m.gen.Store(newGen)
-	if !m.healthy.Load() {
-		m.healthy.Store(true)
+	switch {
+	case m.healthy && !healthy:
+		r.metrics.drains.Add(1)
+	case !m.healthy && healthy:
 		r.metrics.recoveries.Add(1)
-		changed = true
 	}
-	if newGen != oldGen {
-		changed = true
+	if healthy != m.healthy || gen != m.gen {
+		m.healthy, m.gen = healthy, gen
+		r.rebuildRouteLocked()
 	}
+	r.mu.Unlock()
 	// A healthy member behind the fleet generation is useless for
 	// routing; try to walk it forward right here (shared checkpoint
 	// storage makes this a local stage/commit, no fleet-wide pause
 	// needed — the member is not route-eligible yet).
-	if fleetGen := r.fleetGen.Load(); newGen != fleetGen && newGen < fleetGen {
-		if r.catchUp(m, fleetGen) {
-			changed = true
-		}
+	if healthy && gen < fleetGen {
+		r.catchUp(m, fleetGen)
 	}
-	return changed
 }
 
 func (r *Router) fetchHealth(m *member) (replicaHealth, error) {
@@ -151,20 +145,25 @@ func (r *Router) fetchHealth(m *member) (replicaHealth, error) {
 }
 
 // catchUp stages the newest checkpoint on one stale member and
-// commits it iff it is exactly the fleet generation. Reports whether
-// the member reached the fleet generation.
-func (r *Router) catchUp(m *member, fleetGen int64) bool {
+// commits it iff it is exactly the fleet generation, then publishes
+// the member's new generation unless a reload moved the fleet on
+// meanwhile.
+func (r *Router) catchUp(m *member, fleetGen int64) {
 	epoch, step, err := r.stageOn(m)
 	if err != nil {
-		return false
+		return
 	}
 	if packGen(epoch, step) != fleetGen {
 		_ = r.abortOn(m) // its storage cannot produce the fleet's generation
-		return false
+		return
 	}
 	if err := r.commitOn(m, epoch, step); err != nil {
-		return false
+		return
 	}
-	m.gen.Store(fleetGen)
-	return true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.fleetGen.Load() == fleetGen {
+		m.gen = fleetGen
+		r.rebuildRouteLocked()
+	}
 }

@@ -76,7 +76,7 @@ func (r *Router) Reload() (epoch, step int, err error) {
 	r.mu.Lock()
 	members := make([]*member, 0, len(r.members))
 	for _, m := range r.members {
-		if m.healthy.Load() {
+		if m.healthy {
 			members = append(members, m)
 		}
 	}
@@ -150,9 +150,11 @@ func (r *Router) Reload() (epoch, step int, err error) {
 
 	// Phase 2: commit, atomically from any client's view. The pause
 	// write lock waits out in-flight proxied requests and blocks new
-	// ones for the duration of the wave.
+	// ones for the duration of the wave; the new generations, the fleet
+	// generation and the route set built from them are published
+	// together, under r.mu, before the pause lifts.
 	r.pause.Lock()
-	committed := 0
+	committed := make([]*member, 0, len(members))
 	for _, m := range members {
 		if cerr := r.commitOn(m, tE, tS); cerr != nil {
 			// This replica still serves the old generation; leave its
@@ -161,16 +163,20 @@ func (r *Router) Reload() (epoch, step int, err error) {
 			m.failures.Add(1)
 			continue
 		}
-		m.gen.Store(target)
-		committed++
+		committed = append(committed, m)
 	}
-	if committed > 0 {
+	if len(committed) > 0 {
+		r.mu.Lock()
+		for _, m := range committed {
+			m.gen = target
+		}
 		r.fleetGen.Store(target)
+		r.rebuildRouteLocked()
+		r.mu.Unlock()
 	}
 	r.pause.Unlock()
-	r.rebuildRoute()
 
-	if committed == 0 {
+	if len(committed) == 0 {
 		err := fmt.Errorf("%w: every commit failed; fleet stays at epoch %d", ErrReloadHeldBack, curE)
 		r.noteReloadErr(err)
 		return curE, curS, err

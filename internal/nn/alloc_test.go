@@ -37,13 +37,13 @@ func TestDenseStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestConvStepAllocationsBounded extends the same guard to the Conv1D
-// path NT3 trains: im2col patches, matmul, bias, and the backward
-// scatter must all reuse their buffers.
+// TestConvStepAllocationsBounded extends the same guard to the
+// valid-padding Conv1D path NT3 trains: im2col patches, matmul, bias,
+// and the backward scatter must all reuse their buffers.
 func TestConvStepAllocationsBounded(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(8))
-	c := NewConv1DStrided(8, 5, 4, 1, true)
+	c := NewConv1D(8, 5, 4)
 	if _, err := c.Build(rng, 32*4); err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,10 @@ type Conv1D struct {
 	Filters int
 	Kernel  int
 	InCh    int // channels of the input signal
-	// Stride is the window step; 0 means 1.
-	Stride int
-	// SamePadding zero-pads the signal so outSteps = ⌈steps/stride⌉
-	// (Keras padding="same"); false is "valid".
-	SamePadding bool
 
 	name     string
 	steps    int // input steps, fixed at Build
 	outSteps int
-	padLeft  int
 	w, b     *Param
 	patches  *tensor.Matrix // cached im2col matrix for backward (reused)
 	// src is whichever matrix held this step's patches: c.patches in
@@ -43,11 +37,9 @@ type Conv1D struct {
 	flat, out, dflat, dpatch, dx *tensor.Matrix
 }
 
-// pointwise reports whether the convolution is 1×1 at stride 1 with no
-// padding, in which case every patch row is exactly one input step.
-func (c *Conv1D) pointwise() bool {
-	return c.Kernel == 1 && c.stride() == 1 && c.padLeft == 0
-}
+// pointwise reports whether the convolution is 1×1, in which case
+// every patch row is exactly one input step.
+func (c *Conv1D) pointwise() bool { return c.Kernel == 1 }
 
 // NewConv1D returns a valid-padding, stride-1 Conv1D layer with the
 // given filter count, kernel width, and input channel count.
@@ -58,57 +50,22 @@ func NewConv1D(filters, kernel, inCh int) *Conv1D {
 	}
 }
 
-// NewConv1DStrided returns a Conv1D with explicit stride and padding
-// mode.
-func NewConv1DStrided(filters, kernel, inCh, stride int, same bool) *Conv1D {
-	c := NewConv1D(filters, kernel, inCh)
-	c.Stride = stride
-	c.SamePadding = same
-	c.name = fmt.Sprintf("conv1d_f%d_k%d_s%d", filters, kernel, stride)
-	return c
-}
-
 // Name implements Layer.
 func (c *Conv1D) Name() string { return c.name }
-
-func (c *Conv1D) stride() int {
-	if c.Stride <= 0 {
-		return 1
-	}
-	return c.Stride
-}
 
 // Build implements Layer.
 func (c *Conv1D) Build(rng *rand.Rand, inDim int) (int, error) {
 	switch {
 	case c.Filters <= 0 || c.Kernel <= 0 || c.InCh <= 0:
 		return 0, fmt.Errorf("nn: conv1d needs positive filters/kernel/channels, got %d/%d/%d", c.Filters, c.Kernel, c.InCh)
-	case c.Stride < 0:
-		return 0, fmt.Errorf("nn: conv1d stride %d must be positive", c.Stride)
 	case inDim%c.InCh != 0:
 		return 0, fmt.Errorf("nn: conv1d input dim %d not divisible by %d channels", inDim, c.InCh)
 	}
 	c.steps = inDim / c.InCh
-	s := c.stride()
-	if c.SamePadding {
-		c.outSteps = (c.steps + s - 1) / s
-		// Total padding so the first window is centered like Keras:
-		// padLeft = ⌊pad/2⌋.
-		pad := (c.outSteps-1)*s + c.Kernel - c.steps
-		if pad < 0 {
-			pad = 0
-		}
-		c.padLeft = pad / 2
-	} else {
-		c.outSteps = (c.steps-c.Kernel)/s + 1
-		c.padLeft = 0
-		if c.steps < c.Kernel {
-			return 0, fmt.Errorf("nn: conv1d kernel %d longer than %d input steps", c.Kernel, c.steps)
-		}
+	if c.steps < c.Kernel {
+		return 0, fmt.Errorf("nn: conv1d kernel %d longer than %d input steps", c.Kernel, c.steps)
 	}
-	if c.outSteps <= 0 {
-		return 0, fmt.Errorf("nn: conv1d produces no output steps (steps %d, kernel %d, stride %d)", c.steps, c.Kernel, s)
-	}
+	c.outSteps = c.steps - c.Kernel + 1
 	c.w = newParam(c.name+".w", tensor.GlorotUniform(rng, c.Kernel*c.InCh, c.Filters))
 	c.b = newParam(c.name+".b", tensor.New(1, c.Filters))
 	return c.outSteps * c.Filters, nil
@@ -118,7 +75,6 @@ func (c *Conv1D) Build(rng *rand.Rand, inDim int) (int, error) {
 func (c *Conv1D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	c.batch = x.Rows
 	k := c.Kernel * c.InCh
-	s := c.stride()
 	if c.pointwise() {
 		// 1×1 kernel: the patch matrix is the input reshaped to one
 		// step per row, so stage a view instead of copying.
@@ -128,22 +84,12 @@ func (c *Conv1D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		c.patchView.Rows, c.patchView.Cols, c.patchView.Data = x.Rows*c.outSteps, k, x.Data
 		c.src = c.patchView
 	} else {
+		// Window t is steps t..t+kernel-1, contiguous in the row.
 		c.patches = ensure(c.patches, x.Rows*c.outSteps, k)
-		if c.padLeft > 0 || (c.outSteps-1)*s+c.Kernel > c.steps {
-			c.patches.Zero() // padded windows keep implicit zeros
-		}
 		for r := 0; r < x.Rows; r++ {
 			row := x.Row(r)
 			for t := 0; t < c.outSteps; t++ {
-				prow := c.patches.Row(r*c.outSteps + t)
-				srcStep := t*s - c.padLeft
-				for kk := 0; kk < c.Kernel; kk++ {
-					step := srcStep + kk
-					if step < 0 || step >= c.steps {
-						continue // zero padding
-					}
-					copy(prow[kk*c.InCh:(kk+1)*c.InCh], row[step*c.InCh:(step+1)*c.InCh])
-				}
+				copy(c.patches.Row(r*c.outSteps+t), row[t*c.InCh:][:k])
 			}
 		}
 		c.src = c.patches
@@ -171,7 +117,8 @@ func (c *Conv1D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dflat := c.dflat
 	addGrad(c.w.Grad, func(dst *tensor.Matrix) { tensor.TMatMulInto(dst, c.src, dflat) })
 	dflat.AccumColSums(c.b.Grad.Data)
-	c.dpatch = ensure(c.dpatch, c.batch*c.outSteps, c.Kernel*c.InCh)
+	k := c.Kernel * c.InCh
+	c.dpatch = ensure(c.dpatch, c.batch*c.outSteps, k)
 	tensor.MatMulTInto(c.dpatch, dflat, c.w.Value) // (B·outSteps)×(kernel·inCh)
 	dpatch := c.dpatch
 	if c.pointwise() {
@@ -185,21 +132,14 @@ func (c *Conv1D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	c.dx = ensure(c.dx, c.batch, c.steps*c.InCh)
 	c.dx.Zero()
 	dx := c.dx
-	s := c.stride()
+	// Scatter each patch gradient back onto its window, windows in
+	// ascending order.
 	for r := 0; r < c.batch; r++ {
 		drow := dx.Row(r)
 		for t := 0; t < c.outSteps; t++ {
-			prow := dpatch.Row(r*c.outSteps + t)
-			srcStep := t*s - c.padLeft
-			for kk := 0; kk < c.Kernel; kk++ {
-				step := srcStep + kk
-				if step < 0 || step >= c.steps {
-					continue
-				}
-				base := step * c.InCh
-				for i := 0; i < c.InCh; i++ {
-					drow[base+i] += prow[kk*c.InCh+i]
-				}
+			window := drow[t*c.InCh : t*c.InCh+k]
+			for i, g := range dpatch.Row(r*c.outSteps + t) {
+				window[i] += g
 			}
 		}
 	}
@@ -208,89 +148,6 @@ func (c *Conv1D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 
 // Params implements Layer.
 func (c *Conv1D) Params() []*Param { return []*Param{c.w, c.b} }
-
-// AveragePooling1D downsamples a steps×channels signal by averaging
-// non-overlapping windows of Pool steps (Keras AveragePooling1D with
-// stride == pool size). Trailing steps that do not fill a window are
-// dropped.
-type AveragePooling1D struct {
-	statelessBase
-	Pool int
-	Ch   int
-
-	steps    int
-	outSteps int
-	batch    int
-	out, dx  *tensor.Matrix // reusable buffers
-}
-
-// NewAveragePooling1D returns an average-pooling layer with the given
-// window size over a Ch-channel signal.
-func NewAveragePooling1D(pool, ch int) *AveragePooling1D {
-	return &AveragePooling1D{Pool: pool, Ch: ch}
-}
-
-// Name implements Layer.
-func (p *AveragePooling1D) Name() string { return fmt.Sprintf("avgpool1d_%d", p.Pool) }
-
-// Build implements Layer.
-func (p *AveragePooling1D) Build(_ *rand.Rand, inDim int) (int, error) {
-	switch {
-	case p.Pool <= 0 || p.Ch <= 0:
-		return 0, fmt.Errorf("nn: avgpool needs positive pool/channels, got %d/%d", p.Pool, p.Ch)
-	case inDim%p.Ch != 0:
-		return 0, fmt.Errorf("nn: avgpool input dim %d not divisible by %d channels", inDim, p.Ch)
-	}
-	p.steps = inDim / p.Ch
-	p.outSteps = p.steps / p.Pool
-	if p.outSteps == 0 {
-		return 0, fmt.Errorf("nn: avgpool window %d larger than %d steps", p.Pool, p.steps)
-	}
-	return p.outSteps * p.Ch, nil
-}
-
-// Forward implements Layer.
-func (p *AveragePooling1D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	p.batch = x.Rows
-	p.out = ensure(p.out, x.Rows, p.outSteps*p.Ch)
-	out := p.out
-	inv := 1 / float64(p.Pool)
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		orow := out.Row(r)
-		for t := 0; t < p.outSteps; t++ {
-			for ch := 0; ch < p.Ch; ch++ {
-				s := 0.0
-				for w := 0; w < p.Pool; w++ {
-					s += row[(t*p.Pool+w)*p.Ch+ch]
-				}
-				orow[t*p.Ch+ch] = s * inv
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (p *AveragePooling1D) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	p.dx = ensure(p.dx, p.batch, p.steps*p.Ch)
-	p.dx.Zero()
-	dx := p.dx
-	inv := 1 / float64(p.Pool)
-	for r := 0; r < p.batch; r++ {
-		drow := dout.Row(r)
-		xrow := dx.Row(r)
-		for t := 0; t < p.outSteps; t++ {
-			for ch := 0; ch < p.Ch; ch++ {
-				g := drow[t*p.Ch+ch] * inv
-				for w := 0; w < p.Pool; w++ {
-					xrow[(t*p.Pool+w)*p.Ch+ch] += g
-				}
-			}
-		}
-	}
-	return dx
-}
 
 // MaxPooling1D downsamples a steps×channels signal by taking the max
 // over non-overlapping windows of Pool steps (stride == pool size, as

@@ -36,15 +36,3 @@ func ExampleSequential() {
 	// Output:
 	// accuracy after 20 epochs: 1.00
 }
-
-// ExampleClipGradNorm demonstrates global gradient-norm clipping.
-func ExampleClipGradNorm() {
-	p := &nn.Param{
-		Value: tensor.New(1, 2),
-		Grad:  tensor.FromSlice(1, 2, []float64{6, 8}),
-	}
-	pre := nn.ClipGradNorm([]*nn.Param{p}, 5)
-	fmt.Printf("norm %.0f clipped to %.0f\n", pre, nn.GradNorm([]*nn.Param{p}))
-	// Output:
-	// norm 10 clipped to 5
-}

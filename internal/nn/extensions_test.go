@@ -95,129 +95,6 @@ func TestL2ShrinksWeights(t *testing.T) {
 	}
 }
 
-func TestLocallyConnectedShapesAndGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	m := buildModel(t, 8, MeanSquaredError{}, NewSGD(0.01),
-		NewLocallyConnected1D(2, 3, 1), NewActivation("tanh"), NewDense(2))
-	x := tensor.RandNormal(rng, 3, 8, 1)
-	y := tensor.RandNormal(rng, 3, 2, 1)
-	checkGradients(t, m, MeanSquaredError{}, x, y, 1e-4)
-}
-
-func TestLocallyConnectedUntiedWeights(t *testing.T) {
-	// Unlike Conv1D, shifting the input pattern changes the output
-	// because weights are position-specific.
-	rng := rand.New(rand.NewSource(33))
-	l := NewLocallyConnected1D(1, 2, 1)
-	if _, err := l.Build(rng, 6); err != nil {
-		t.Fatal(err)
-	}
-	a := tensor.FromSlice(1, 6, []float64{1, 2, 0, 0, 0, 0})
-	b := tensor.FromSlice(1, 6, []float64{0, 0, 1, 2, 0, 0})
-	oa := l.Forward(a, false)
-	ob := l.Forward(b, false)
-	// Output at position 0 for a vs position 2 for b would be equal if
-	// weights were shared; untied weights almost surely differ.
-	if math.Abs(oa.Data[0]-ob.Data[2]) < 1e-9 {
-		t.Fatal("locally connected layer behaved like a shared-weight conv")
-	}
-	if l.Params()[0].Value.Rows != 5*2 { // outSteps(5) × kernel·inCh(2)
-		t.Fatalf("weight rows = %d", l.Params()[0].Value.Rows)
-	}
-}
-
-func TestLocallyConnectedBuildErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewLocallyConnected1D(1, 9, 1).Build(rng, 4); err == nil {
-		t.Fatal("kernel longer than signal accepted")
-	}
-	if _, err := NewLocallyConnected1D(1, 2, 3).Build(rng, 7); err == nil {
-		t.Fatal("indivisible channels accepted")
-	}
-}
-
-func TestLRSchedulerAppliesSchedule(t *testing.T) {
-	m := buildModel(t, 2, MeanSquaredError{}, NewSGD(0.1), NewDense(1))
-	x, y := tensor.New(4, 2), tensor.New(4, 1)
-	var lrs []float64
-	rec := &recordLR{lrs: &lrs}
-	sched := NewLRScheduler(StepDecaySchedule(2, 0.5))
-	if _, err := m.Fit(x, y, FitConfig{Epochs: 6, BatchSize: 2,
-		Callbacks: []Callback{sched, rec}}); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.1, 0.1, 0.05, 0.05, 0.025, 0.025}
-	for i, w := range want {
-		if math.Abs(lrs[i]-w) > 1e-12 {
-			t.Fatalf("epoch %d lr = %v, want %v (all: %v)", i, lrs[i], w, lrs)
-		}
-	}
-}
-
-type recordLR struct {
-	BaseCallback
-	lrs *[]float64
-}
-
-func (r *recordLR) OnEpochBegin(m *Sequential, _ int) {
-	*r.lrs = append(*r.lrs, m.Optimizer().LearningRate())
-}
-
-func TestWarmupSchedule(t *testing.T) {
-	s := WarmupSchedule(4, 8) // ramp to 8× base over 4 epochs
-	base := 0.001
-	prev := 0.0
-	for e := 0; e < 4; e++ {
-		lr := s(e, base)
-		if lr <= prev {
-			t.Fatalf("warmup not increasing at epoch %d", e)
-		}
-		prev = lr
-	}
-	if got := s(4, base); math.Abs(got-0.008) > 1e-12 {
-		t.Fatalf("post-warmup lr = %v", got)
-	}
-	if got := s(100, base); math.Abs(got-0.008) > 1e-12 {
-		t.Fatalf("held lr = %v", got)
-	}
-}
-
-func TestEarlyStoppingStopsFit(t *testing.T) {
-	// A model with lr=0 never improves, so early stopping must
-	// trigger after patience epochs.
-	m := buildModel(t, 2, MeanSquaredError{}, NewSGD(0), NewDense(1))
-	rng := rand.New(rand.NewSource(40))
-	x := tensor.RandNormal(rng, 8, 2, 1)
-	y := tensor.RandNormal(rng, 8, 1, 1)
-	es := NewEarlyStopping(3, 1e-12)
-	hist, err := m.Fit(x, y, FitConfig{Epochs: 50, BatchSize: 4, Callbacks: []Callback{es}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Loss) >= 50 {
-		t.Fatalf("early stopping did not stop: ran %d epochs", len(hist.Loss))
-	}
-	if !es.WantsStop() || es.StoppedAt < 0 {
-		t.Fatal("stopper state wrong")
-	}
-}
-
-func TestEarlyStoppingDoesNotStopImprovingRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	x := tensor.RandNormal(rng, 32, 3, 1)
-	w := tensor.RandNormal(rng, 3, 1, 1)
-	y := tensor.MatMul(x, w)
-	m := buildModel(t, 3, MeanSquaredError{}, NewSGD(0.05), NewDense(1))
-	es := NewEarlyStopping(2, 1e-9)
-	hist, err := m.Fit(x, y, FitConfig{Epochs: 12, BatchSize: 8, Callbacks: []Callback{es}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Loss) != 12 {
-		t.Fatalf("stopped an improving run at epoch %d", len(hist.Loss))
-	}
-}
-
 func TestProfileLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := buildModel(t, 16, CategoricalCrossEntropy{}, NewSGD(0.01),

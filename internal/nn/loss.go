@@ -50,64 +50,6 @@ func (CategoricalCrossEntropy) Compute(pred, target *tensor.Matrix) (float64, *t
 	return loss / n, grad
 }
 
-// BinaryCrossEntropy is the two-class log loss over sigmoid outputs.
-type BinaryCrossEntropy struct{}
-
-func (BinaryCrossEntropy) Name() string { return "binary_crossentropy" }
-
-func (BinaryCrossEntropy) Compute(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	lossShapeCheck("binary_crossentropy", pred, target)
-	n := float64(pred.Rows * pred.Cols)
-	loss := 0.0
-	grad := tensor.New(pred.Rows, pred.Cols)
-	for i, p := range pred.Data {
-		t := target.Data[i]
-		pc := math.Min(math.Max(p, epsClip), 1-epsClip)
-		loss -= t*math.Log(pc) + (1-t)*math.Log(1-pc)
-		grad.Data[i] = (pc - t) / (pc * (1 - pc)) / n
-	}
-	return loss / n, grad
-}
-
-// SoftmaxCrossEntropy fuses the softmax with the multiclass log loss,
-// taking raw logits — TensorFlow's softmax_cross_entropy_with_logits.
-// It is numerically stable for arbitrarily large logits and its
-// gradient collapses to the famously simple (softmax − target)/N.
-type SoftmaxCrossEntropy struct{}
-
-func (SoftmaxCrossEntropy) Name() string { return "softmax_cross_entropy_with_logits" }
-
-func (SoftmaxCrossEntropy) Compute(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	lossShapeCheck("softmax_cross_entropy", pred, target)
-	n := float64(pred.Rows)
-	loss := 0.0
-	grad := tensor.New(pred.Rows, pred.Cols)
-	for r := 0; r < pred.Rows; r++ {
-		row := pred.Row(r)
-		trow := target.Row(r)
-		mx := row[0]
-		for _, v := range row[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - mx)
-		}
-		logSum := math.Log(sum) + mx
-		grow := grad.Row(r)
-		for j, v := range row {
-			p := math.Exp(v - logSum)
-			grow[j] = (p - trow[j]) / n
-			if trow[j] != 0 {
-				loss -= trow[j] * (v - logSum)
-			}
-		}
-	}
-	return loss / n, grad
-}
-
 // MeanSquaredError is the regression loss used by the P1B1 autoencoder
 // and the P1B3 growth-prediction benchmark.
 type MeanSquaredError struct{}

@@ -339,9 +339,6 @@ func (s *Sequential) Fit(x, y *tensor.Matrix, cfg FitConfig) (*History, error) {
 		// run replay the exact stream of the uninterrupted one.
 		s.rng.Seed(epochSeed(s.seed, g))
 		s.epochsSeen = g + 1
-		for _, cb := range cfg.Callbacks {
-			cb.OnEpochBegin(s, g)
-		}
 		if cfg.Shuffle {
 			// Re-derive the order from identity each epoch: shuffling the
 			// previous epoch's order in place would make epoch g's sample
@@ -360,11 +357,7 @@ func (s *Sequential) Fit(x, y *tensor.Matrix, cfg FitConfig) (*History, error) {
 				copy(bx.Row(b), x.Row(src))
 				copy(by.Row(b), y.Row(src))
 			}
-			l := s.TrainBatch(bx, by)
-			epochLoss += l
-			for _, cb := range cfg.Callbacks {
-				cb.OnBatchEnd(s, g, step, l)
-			}
+			epochLoss += s.TrainBatch(bx, by)
 			// A distributed optimizer whose collective aborted cannot
 			// make progress; surface the failure immediately.
 			if err := trainingFailure(s.opt, cfg.Callbacks); err != nil {
@@ -383,18 +376,6 @@ func (s *Sequential) Fit(x, y *tensor.Matrix, cfg FitConfig) (*History, error) {
 		for _, cb := range cfg.Callbacks {
 			cb.OnEpochEnd(s, g, epochLoss)
 		}
-		stop := false
-		for _, cb := range cfg.Callbacks {
-			if st, ok := cb.(Stopper); ok && st.WantsStop() {
-				stop = true
-			}
-		}
-		if stop {
-			break
-		}
-	}
-	for _, cb := range cfg.Callbacks {
-		cb.OnTrainEnd(s)
 	}
 	return hist, nil
 }
@@ -437,24 +418,21 @@ func trainingFailure(opt Optimizer, cbs []Callback) error {
 	return nil
 }
 
-// Callback observes Fit. All methods have empty defaults via
-// BaseCallback so implementations override only what they need.
+// Callback observes Fit: OnTrainBegin once before the first step (the
+// hook Horovod's weight broadcast uses), OnEpochEnd after each epoch's
+// evaluation (checkpointing and progress tracking). Both have empty
+// defaults via BaseCallback so implementations override only what they
+// need.
 type Callback interface {
 	OnTrainBegin(m *Sequential)
-	OnEpochBegin(m *Sequential, epoch int)
-	OnBatchEnd(m *Sequential, epoch, step int, loss float64)
 	OnEpochEnd(m *Sequential, epoch int, loss float64)
-	OnTrainEnd(m *Sequential)
 }
 
 // BaseCallback is an embeddable no-op Callback.
 type BaseCallback struct{}
 
-func (BaseCallback) OnTrainBegin(*Sequential)                  {}
-func (BaseCallback) OnEpochBegin(*Sequential, int)             {}
-func (BaseCallback) OnBatchEnd(*Sequential, int, int, float64) {}
-func (BaseCallback) OnEpochEnd(*Sequential, int, float64)      {}
-func (BaseCallback) OnTrainEnd(*Sequential)                    {}
+func (BaseCallback) OnTrainBegin(*Sequential)             {}
+func (BaseCallback) OnEpochEnd(*Sequential, int, float64) {}
 
 // Accuracy computes classification accuracy: argmax agreement for
 // multi-column outputs, 0.5-threshold agreement for single-column.
@@ -514,33 +492,6 @@ func (s *Sequential) SetWeightsVector(w []float64) error {
 	for _, p := range s.params {
 		n := len(p.Value.Data)
 		copy(p.Value.Data, w[off:off+n])
-		off += n
-	}
-	return nil
-}
-
-// GradsVector flattens all gradients into one slice (a copy) — the
-// unit Horovod allreduces.
-func (s *Sequential) GradsVector() []float64 {
-	s.mustBuilt()
-	out := make([]float64, 0, s.ParamCount())
-	for _, p := range s.params {
-		out = append(out, p.Grad.Data...)
-	}
-	return out
-}
-
-// SetGradsVector restores gradients from a flat slice (e.g. after an
-// allreduce average).
-func (s *Sequential) SetGradsVector(g []float64) error {
-	s.mustBuilt()
-	if len(g) != s.ParamCount() {
-		return fmt.Errorf("nn: grads vector length %d != %d params", len(g), s.ParamCount())
-	}
-	off := 0
-	for _, p := range s.params {
-		n := len(p.Grad.Data)
-		copy(p.Grad.Data, g[off:off+n])
 		off += n
 	}
 	return nil

@@ -1,7 +1,11 @@
-// Package nn is a from-scratch, Keras-like neural-network framework:
-// sequential models built from layers (Dense, Conv1D, MaxPooling1D,
-// Flatten, Dropout, Activation), trained with SGD/Adam/RMSprop against
-// cross-entropy or MSE losses.
+// Package nn is a from-scratch, Keras-like neural-network framework
+// sized to the six CANDLE models this repository trains: sequential
+// models built from layers (Dense and DenseL2, valid-padding Conv1D,
+// MaxPooling1D, Flatten, Dropout, Activation, BatchNorm, Embedding,
+// LSTM), trained with plain SGD, Adam or RMSprop against categorical
+// cross-entropy or MSE, with two Fit hooks (train begin, epoch end).
+// A layer, optimizer, loss or hook that no model or command uses does
+// not belong here; `make reach` fails when one appears.
 //
 // It exists because the CANDLE Pilot1 benchmarks this repository
 // reproduces are Keras models; nn provides the same three concepts the

@@ -139,15 +139,33 @@ func TestGradCheckConvPoolStack(t *testing.T) {
 	checkGradients(t, m, CategoricalCrossEntropy{}, x, y, 1e-4)
 }
 
-func TestGradCheckSigmoidBCE(t *testing.T) {
+// TestGradCheckConvMultiChannel checks both Conv1D paths with more
+// than one input channel, NT3's second convolution among them: im2col
+// windows, whose backward scatter sums overlapping windows, and a 1×1
+// kernel, which reshapes instead of copying. Each conv's input
+// gradient feeds the parameters of the one below it, so the check
+// covers dx as well as the weights.
+func TestGradCheckConvMultiChannel(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	m := buildModel(t, 8*2, MeanSquaredError{}, NewSGD(0.1),
+		NewConv1D(3, 3, 2), NewActivation("tanh"), NewConv1D(2, 1, 3), NewConv1D(2, 3, 2),
+		NewFlatten(), NewDense(2))
+	x := tensor.RandNormal(rng, 3, 8*2, 1)
+	y := tensor.RandNormal(rng, 3, 2, 1)
+	checkGradients(t, m, MeanSquaredError{}, x, y, 1e-4)
+}
+
+// TestGradCheckSigmoidMSE checks P1B3's head: a sigmoid output
+// regressed onto growth values in [0, 1] under MSE.
+func TestGradCheckSigmoidMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m := buildModel(t, 3, BinaryCrossEntropy{}, NewSGD(0.1), NewDense(4), NewSigmoid(), NewDense(1), NewSigmoid())
+	m := buildModel(t, 3, MeanSquaredError{}, NewSGD(0.1), NewDense(4), NewSigmoid(), NewDense(1), NewSigmoid())
 	x := tensor.RandNormal(rng, 6, 3, 1)
 	y := tensor.New(6, 1)
 	for i := 0; i < 6; i++ {
-		y.Set(i, 0, float64(rng.Intn(2)))
+		y.Set(i, 0, rng.Float64())
 	}
-	checkGradients(t, m, BinaryCrossEntropy{}, x, y, 1e-4)
+	checkGradients(t, m, MeanSquaredError{}, x, y, 1e-4)
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
@@ -304,11 +322,6 @@ func TestLossesKnownValues(t *testing.T) {
 	if math.Abs(l2-(0.01+0.01)/2) > 1e-12 {
 		t.Fatalf("mse = %v", l2)
 	}
-	l3, _ := BinaryCrossEntropy{}.Compute(
-		tensor.FromSlice(1, 1, []float64{0.8}), tensor.FromSlice(1, 1, []float64{1}))
-	if math.Abs(l3-(-math.Log(0.8))) > 1e-12 {
-		t.Fatalf("bce = %v", l3)
-	}
 }
 
 func TestLossGradientSignsMSE(t *testing.T) {
@@ -356,7 +369,6 @@ func TestOptimizersReduceLoss(t *testing.T) {
 		return last
 	}
 	mk(NewSGD(0.05))
-	mk(NewSGDMomentum(0.02, 0.9))
 	mk(NewAdam(0.05))
 	mk(NewRMSprop(0.01))
 }
@@ -446,14 +458,11 @@ func TestFitRejectsBadConfig(t *testing.T) {
 }
 
 type countingCallback struct {
-	BaseCallback
-	trainBegin, epochs, batches, trainEnd int
+	trainBegin, epochs int
 }
 
-func (c *countingCallback) OnTrainBegin(*Sequential)                  { c.trainBegin++ }
-func (c *countingCallback) OnEpochEnd(*Sequential, int, float64)      { c.epochs++ }
-func (c *countingCallback) OnBatchEnd(*Sequential, int, int, float64) { c.batches++ }
-func (c *countingCallback) OnTrainEnd(*Sequential)                    { c.trainEnd++ }
+func (c *countingCallback) OnTrainBegin(*Sequential)             { c.trainBegin++ }
+func (c *countingCallback) OnEpochEnd(*Sequential, int, float64) { c.epochs++ }
 
 func TestCallbacksInvoked(t *testing.T) {
 	m := buildModel(t, 2, MeanSquaredError{}, NewSGD(0.01), NewDense(1))
@@ -463,7 +472,7 @@ func TestCallbacksInvoked(t *testing.T) {
 	if _, err := m.Fit(x, y, FitConfig{Epochs: 3, BatchSize: 4, Callbacks: []Callback{cb}}); err != nil {
 		t.Fatal(err)
 	}
-	if cb.trainBegin != 1 || cb.trainEnd != 1 || cb.epochs != 3 || cb.batches != 6 {
+	if cb.trainBegin != 1 || cb.epochs != 3 {
 		t.Fatalf("callback counts: %+v", *cb)
 	}
 }
@@ -488,37 +497,6 @@ func TestWeightsVectorRoundTrip(t *testing.T) {
 	}
 	if err := m.SetWeightsVector(w[:3]); err == nil {
 		t.Fatal("short weights accepted")
-	}
-}
-
-func TestGradsVectorRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := buildModel(t, 3, MeanSquaredError{}, NewSGD(0.1), NewDense(2))
-	x := tensor.RandNormal(rng, 4, 3, 1)
-	y := tensor.RandNormal(rng, 4, 2, 1)
-	m.GradientsOnly(x, y)
-	g := m.GradsVector()
-	nonzero := false
-	for _, v := range g {
-		if v != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Fatal("gradients all zero after backward")
-	}
-	scaled := make([]float64, len(g))
-	for i, v := range g {
-		scaled[i] = v / 2
-	}
-	if err := m.SetGradsVector(scaled); err != nil {
-		t.Fatal(err)
-	}
-	g2 := m.GradsVector()
-	for i := range g2 {
-		if g2[i] != scaled[i] {
-			t.Fatal("grads round-trip mismatch")
-		}
 	}
 }
 

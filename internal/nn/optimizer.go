@@ -19,18 +19,16 @@ type Optimizer interface {
 }
 
 // StatefulOptimizer is implemented by optimizers that accumulate
-// internal per-parameter state across steps — momentum velocities,
-// Adam's moment estimates and step count, RMSprop's squared-gradient
-// average. Checkpoints capture that state alongside the weights so a
-// resumed run continues bit-identically to an uninterrupted one;
-// restoring weights alone would silently reset the optimizer and fork
-// the trajectory.
+// internal per-parameter state across steps — Adam's moment estimates
+// and step count, RMSprop's squared-gradient average. Checkpoints
+// capture that state alongside the weights so a resumed run continues
+// bit-identically to an uninterrupted one; restoring weights alone
+// would silently reset the optimizer and fork the trajectory.
 type StatefulOptimizer interface {
 	Optimizer
 	// CaptureState flattens the optimizer's internal state for params
 	// (in the given order) into vectors. Scalar state (Adam's step
-	// count) travels in its own vector. A configuration with no state
-	// (e.g. momentum-free SGD) returns nil.
+	// count) travels in its own vector.
 	CaptureState(params []*Param) [][]float64
 	// RestoreState installs state previously captured over the same
 	// parameter list in the same order. nil or empty state resets the
@@ -39,10 +37,9 @@ type StatefulOptimizer interface {
 }
 
 // slots is the per-parameter state of a stateful optimizer: for each
-// parameter, up to two vectors of the parameter's length (SGD's
-// velocity; RMSprop's squared-gradient average; Adam's m and v),
-// zeroed when the parameter takes its first step. An unused vector
-// stays nil.
+// parameter, up to two vectors of the parameter's length (RMSprop's
+// squared-gradient average; Adam's m and v), zeroed when the parameter
+// takes its first step. An unused vector stays nil.
 type slots map[*Param][2][]float64
 
 // update is the one parameter-update driver. For each parameter it
@@ -113,20 +110,16 @@ func (st *slots) restore(name string, vecs int, params []*Param, state [][]float
 	return nil
 }
 
-// SGD is stochastic gradient descent with optional classical momentum,
-// matching the Keras "sgd" optimizer used by NT3 and P1B3.
+// SGD is plain stochastic gradient descent, matching the Keras "sgd"
+// optimizer used by NT3 and P1B3. It carries no state between steps,
+// so it is not a StatefulOptimizer and checkpoints hold no state for
+// it.
 type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      slots
+	LR float64
 }
 
-// NewSGD returns an SGD optimizer with the given learning rate and no
-// momentum.
+// NewSGD returns an SGD optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// NewSGDMomentum returns an SGD optimizer with classical momentum.
-func NewSGDMomentum(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
 
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
@@ -139,41 +132,9 @@ func (s *SGD) SetLearningRate(lr float64) { s.LR = lr }
 
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
-	if s.Momentum == 0 {
-		for _, p := range params {
-			p.Value.AXPY(-s.LR, p.Grad)
-		}
-		return
+	for _, p := range params {
+		p.Value.AXPY(-s.LR, p.Grad)
 	}
-	update(&s.vel, 1, params, sgdConsts{mu: s.Momentum, negLR: -s.LR}, sgdMomentumLeaf)
-}
-
-type sgdConsts struct{ mu, negLR float64 }
-
-// sgdMomentumLeaf is v = mu*v - lr*g; w += v in one pass. The
-// conversion rounds mu*v before the add, as storing it did when this
-// was three passes (Scale, AXPY, Add), so the bits are the same.
-func sgdMomentumLeaf(w, g []float64, s [2][]float64, lo, hi int, k sgdConsts) {
-	w, g, v := w[lo:hi], g[lo:hi], s[0][lo:hi]
-	for i := range w {
-		vi := float64(v[i]*k.mu) + k.negLR*g[i]
-		v[i] = vi
-		w[i] += vi
-	}
-}
-
-// CaptureState implements StatefulOptimizer: one velocity vector per
-// parameter, or nil when momentum is off.
-func (s *SGD) CaptureState(params []*Param) [][]float64 {
-	if s.Momentum == 0 {
-		return nil
-	}
-	return s.vel.capture(1, params)
-}
-
-// RestoreState implements StatefulOptimizer.
-func (s *SGD) RestoreState(params []*Param, state [][]float64) error {
-	return s.vel.restore("sgd", 1, params, state)
 }
 
 // Adam is adaptive moment estimation, matching the Keras "adam"

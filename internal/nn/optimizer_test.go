@@ -11,9 +11,8 @@ import (
 )
 
 // The scalar loops Step ran before the fused, partitioned driver, kept
-// as the reference the driver's leaves are held to: three passes for
-// SGD-momentum, and for Adam three divides and a square root per
-// element on bias-corrected moments.
+// as the reference the driver's leaves are held to: for Adam three
+// divides and a square root per element on bias-corrected moments.
 
 type refBase struct{ lr float64 }
 
@@ -28,20 +27,6 @@ func refState(st map[*Param]*tensor.Matrix, p *Param) *tensor.Matrix {
 		st[p] = m
 	}
 	return m
-}
-
-type refSGDMomentum struct {
-	refBase
-	momentum float64
-	vel      map[*Param]*tensor.Matrix
-}
-
-func (s *refSGDMomentum) Step(params []*Param) {
-	for _, p := range params {
-		v := refState(s.vel, p)
-		v.Scale(s.momentum).AXPY(-s.lr, p.Grad)
-		p.Value.Add(v)
-	}
 }
 
 type refRMSprop struct {
@@ -101,14 +86,6 @@ var updateCases = []struct {
 	ref          func() Optimizer
 	parentLayout func(ref Optimizer, params []*Param) [][]float64 // of the reference's state
 }{
-	{"sgd_momentum", 0,
-		func() StatefulOptimizer { return NewSGDMomentum(0.05, 0.9) },
-		func() Optimizer {
-			return &refSGDMomentum{refBase: refBase{0.05}, momentum: 0.9, vel: map[*Param]*tensor.Matrix{}}
-		},
-		func(ref Optimizer, params []*Param) [][]float64 {
-			return perParam(params, ref.(*refSGDMomentum).vel)
-		}},
 	{"rmsprop", 0,
 		func() StatefulOptimizer { return NewRMSprop(0.01) },
 		func() Optimizer {
@@ -181,7 +158,7 @@ func sameWeights(t *testing.T, what string, got, want []*Param, tol float64) {
 // fused leaves on the reference loops' weights — bit for bit where the
 // arithmetic is the same, within rounding for Adam — and leave the
 // state, which depends on the gradients alone, bit-identical in the
-// parent's captured layout for all three.
+// parent's captured layout for both.
 func TestUpdateMatchesReference(t *testing.T) {
 	for _, tc := range updateCases {
 		t.Run(tc.name, func(t *testing.T) {

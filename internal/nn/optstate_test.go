@@ -10,8 +10,8 @@ import (
 // resume: after restoring captured state into a FRESH optimizer, the
 // next Step must move the weights bit-identically to the original
 // optimizer continuing in place. Anything less and a resumed run
-// silently departs the uninterrupted trajectory (velocity reset to
-// zero, Adam bias correction restarted at t=0, ...).
+// silently departs the uninterrupted trajectory (Adam bias correction
+// restarted at t=0, RMSprop's average reset to zero, ...).
 
 func optTestParams() []*Param {
 	a := newParam("w0", tensor.New(2, 3))
@@ -85,10 +85,6 @@ func testStateRoundTrip(t *testing.T, fresh func() Optimizer) {
 	}
 }
 
-func TestSGDMomentumStateRoundTrip(t *testing.T) {
-	testStateRoundTrip(t, func() Optimizer { return NewSGDMomentum(0.05, 0.9) })
-}
-
 func TestAdamStateRoundTrip(t *testing.T) {
 	testStateRoundTrip(t, func() Optimizer { return NewAdam(0.01) })
 }
@@ -97,21 +93,11 @@ func TestRMSpropStateRoundTrip(t *testing.T) {
 	testStateRoundTrip(t, func() Optimizer { return NewRMSprop(0.01) })
 }
 
-// TestClippedOptimizerStateRoundTrip: the clipping wrapper must carry
-// its base's state through a checkpoint; before it implemented
-// StatefulOptimizer a clipped Adam or RMSprop resumed with its moments
-// dropped.
-func TestClippedOptimizerStateRoundTrip(t *testing.T) {
-	testStateRoundTrip(t, func() Optimizer { return NewClippedOptimizer(NewAdam(0.01), 1) })
-	testStateRoundTrip(t, func() Optimizer { return NewClippedOptimizer(NewRMSprop(0.01), 1) })
-}
-
 // TestRestoreStateRejectsShapeMismatch: a snapshot whose state vectors
 // disagree with the live model's parameters must be refused with an
 // error, never silently truncated into corrupt optimizer state.
 func TestRestoreStateRejectsShapeMismatch(t *testing.T) {
 	for _, fresh := range []func() Optimizer{
-		func() Optimizer { return NewSGDMomentum(0.05, 0.9) },
 		func() Optimizer { return NewAdam(0.01) },
 		func() Optimizer { return NewRMSprop(0.01) },
 	} {
@@ -134,17 +120,11 @@ func TestRestoreStateRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestSGDWithoutMomentumHasNoState: plain SGD is stateless — capture
-// returns nil and restoring an empty state is a no-op, the path a
-// legacy pre-OptState snapshot takes.
-func TestSGDWithoutMomentumHasNoState(t *testing.T) {
-	opt := NewSGD(0.05)
-	params := optTestParams()
-	stepN(opt, params, 2, 0.2)
-	if st := opt.CaptureState(params); st != nil {
-		t.Fatalf("stateless SGD captured %v", st)
-	}
-	if err := opt.RestoreState(params, nil); err != nil {
-		t.Fatalf("restoring empty state: %v", err)
+// TestSGDHasNoState: SGD is stateless, so it is not a
+// StatefulOptimizer and a checkpoint carries no state for it.
+func TestSGDHasNoState(t *testing.T) {
+	var opt Optimizer = NewSGD(0.05)
+	if _, ok := opt.(StatefulOptimizer); ok {
+		t.Fatal("SGD implements StatefulOptimizer")
 	}
 }
