@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-matrix race vet loc reach bench-build bench bench-optimizer-smoke bench-smoke \
+.PHONY: build test test-matrix race vet loc reach layers bench-build bench bench-optimizer-smoke bench-smoke \
 	fleet-race launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
@@ -33,18 +33,36 @@ vet:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -Ev '^[[:space:]]*(//|$$)' | wc -l
 
-# Every exported package-level function of internal/nn has a caller
+# Every exported package-level function of these packages has a caller
 # outside the tests: build every main package without inlining (so a
-# small function keeps its symbol), list their symbols, and print each
-# nn function that none of them links. Anything printed fails the
-# target; tests do not count as callers.
+# small function keeps its symbol), list their symbols, and print, per
+# package, each function that none of them links. Anything printed
+# fails the target; tests do not count as callers.
+REACH_PKGS = nn candle data sim core
+
 reach:
-	@d=$$(mktemp -d) && syms=$$(mktemp) && trap 'rm -rf $$d $$syms' EXIT && \
-	$(GO) build -gcflags=all=-l -o $$d/ $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
-	for b in $$d/*; do $(GO) tool nm $$b; done | \
-		sed -nE 's/.* candle\/internal\/nn\.([A-Za-z0-9_]+)(\[.*)?$$/\1/p' | sort -u > $$syms && \
-	dead=$$($(GO) doc -all ./internal/nn | sed -nE 's/^func ([A-Za-z0-9_]+).*/\1/p' | sort -u | comm -23 - $$syms) && \
-	if [ -n "$$dead" ]; then echo "$$dead"; exit 1; fi
+	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && mkdir $$d/bin && \
+	$(GO) build -gcflags=all=-l -o $$d/bin/ $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	for b in $$d/bin/*; do $(GO) tool nm $$b; done > $$d/syms && \
+	status=0 && for p in $(REACH_PKGS); do \
+		sed -nE "s/.* candle\/internal\/$$p\.([A-Za-z0-9_]+)(\[.*)?$$/\1/p" $$d/syms | sort -u > $$d/linked && \
+		dead=$$($(GO) doc -all ./internal/$$p | sed -nE 's/^func ([A-Za-z0-9_]+).*/\1/p' | sort -u | comm -23 - $$d/linked) && \
+		if [ -n "$$dead" ]; then echo "$$p:" $$dead; status=1; fi; \
+	done; exit $$status
+
+# The paper layer — the packages that regenerate the paper's tables
+# from calibrated constants — is a leaf: no other internal/ package
+# depends on it, directly or through another. Prints each offender and
+# the paper-layer packages it pulls in.
+PAPER_PKGS = core sim des hpc power report advisor supervisor
+
+layers:
+	@paper=$$(for p in $(PAPER_PKGS); do echo candle/internal/$$p; done) && status=0 && \
+	for pkg in $$($(GO) list ./internal/...); do \
+		case " $(PAPER_PKGS) " in *" $${pkg#candle/internal/} "*) continue;; esac; \
+		bad=$$($(GO) list -deps $$pkg | grep -Fx "$$paper") || true; \
+		if [ -n "$$bad" ]; then echo "$${pkg#candle/}:" $$bad; status=1; fi; \
+	done; exit $$status
 
 # The benchmark is the driver's gate and calls internal/ APIs directly;
 # name it explicitly so breaking one of them fails here, not there.
@@ -113,5 +131,5 @@ sim-transport:
 
 # The 200-seed sweep is the check that runs the socket world's
 # session-dropping elastic recovery under the harness's invariants.
-ci: build test-matrix race fleet-race vet reach bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke
+ci: build test-matrix race fleet-race vet reach layers bench-build bench-optimizer-smoke bench-smoke sim-smoke launch-smoke fleet-smoke
 	$(MAKE) sim-multi-seed SEEDS=200

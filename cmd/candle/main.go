@@ -28,18 +28,14 @@ type command struct {
 // commands is the dispatch table; README's subcommand table is held
 // equal to it by TestDispatchTable.
 var commands = []command{
-	{"run", "train one benchmark for real (ranks as goroutines, or one worker of a multi-process world) or simulate it at paper scale", runCmd},
+	{"run", "train one benchmark for real (ranks as goroutines, or one worker of a multi-process world) or simulate it at paper scale, with its timeline and power trace", runCmd},
 	{"launch", "run one benchmark across several `candle run` worker processes, with elastic recovery", launchCmd},
 	{"serve", "answer /predict over HTTP from the newest checkpoint, hot-reloading newer ones", serveCmd},
 	{"fleet", "front several `candle serve` replica processes with one router", fleetCmd},
 	{"sim", "seeded scenario simulator: draw a run + fault plan per seed, check the invariants", simCmd},
 	{"advise", "recommend the configuration with the fewest seconds or joules that meets an accuracy floor", adviseCmd},
-	{"power", "print the power-monitor telemetry of a simulated run", powerCmd},
 	{"profile", "per-layer forward/backward timing of a benchmark's model, or of one CSV engine", profileCmd},
-	{"report", "write the full reproduction bundle of the paper's tables and figures", reportCmd},
-	{"sweep", "regenerate one or all of the paper's tables and figures", sweepCmd},
-	{"tables", "print the paper's Tables 1-6", tablesCmd},
-	{"timeline", "emit a Horovod-style Chrome-trace timeline of a simulated run", timelineCmd},
+	{"sweep", "regenerate some or all of the paper's tables and figures, or write them all as a reproduction bundle", sweepCmd},
 	{"supervisor", "hyperparameter search over a benchmark (grid, random, halving)", supervisorCmd},
 }
 

@@ -142,7 +142,7 @@ func TestDispatchTable(t *testing.T) {
 		if !strings.Contains(stderr, "Usage of candle "+c.name) {
 			t.Errorf("candle %s -h does not print its usage:\n%s", c.name, stderr)
 		}
-		if c.name != "tables" && !strings.Contains(stderr, "\n  -") {
+		if !strings.Contains(stderr, "\n  -") {
 			t.Errorf("candle %s -h lists no flags:\n%s", c.name, stderr)
 		}
 		if code, _, _ := candleCLI(c.name, "-no-such-flag"); code != 2 {

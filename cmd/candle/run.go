@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"candle/internal/candle"
+	"candle/internal/core"
 	"candle/internal/csvio"
 	"candle/internal/launch"
 	"candle/internal/mpi"
+	"candle/internal/sim"
 	"candle/internal/trace"
 )
 
@@ -27,6 +30,7 @@ type runOpts struct {
 	trainFlags
 	Mode, Machine string
 	Timeline, Out string
+	Power         string
 	Rendezvous    string
 	RendezvousNet string
 	LocalRanks    int
@@ -42,12 +46,14 @@ type runOpts struct {
 //	candle run -bench NT3 -mode real -ranks 4 -epochs 16
 //	candle run -bench NT3 -mode sim -machine summit -ranks 384 -loader chunked
 //	candle run -bench P1B3 -mode sim -ranks 48 -batch 363 -epochs 1
+//	candle run -bench NT3 -ranks 384 -timeline fig7b.json -power fig7a.csv
 func runCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	o := runOpts{trainFlags: newTrainFlags()}
 	o.trainFlags.register(fs)
 	fs.StringVar(&o.Mode, "mode", "sim", "real (in-process training) or sim (paper-scale model)")
 	fs.StringVar(&o.Machine, "machine", "summit", "sim machine: summit or theta")
-	fs.StringVar(&o.Timeline, "timeline", "", "write a Chrome-trace timeline of the real run to this file")
+	fs.StringVar(&o.Timeline, "timeline", "", "write a Chrome-trace timeline of the run to this file (sim: the first 8 ranks)")
+	fs.StringVar(&o.Power, "power", "", "write the sim run's power-monitor trace here as CSV: t_s,watts, plus node_W,cpu_W,mem_W on theta")
 	fs.StringVar(&o.Out, "out", "", "write the per-rank result JSON of the real run here (what candle launch collects from each worker)")
 	fs.StringVar(&o.Rendezvous, "rendezvous", "", "rendezvous address: join a multi-process world as one worker (real mode; -ranks is then the total world size)")
 	fs.StringVar(&o.RendezvousNet, "rendezvous-network", "", "rendezvous socket family: unix or tcp; empty derives it from -transport")
@@ -56,19 +62,46 @@ func runCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	fs.IntVar(&o.Generation, "generation", 0, "elastic world generation stamp from the launcher (distributed real mode)")
 	fs.BoolVar(&o.ServeRdv, "serve-rendezvous", false, "also host the rendezvous round at -rendezvous (the hand-run form: set on exactly one worker)")
 	return func(stdout, stderr io.Writer) error {
-		switch o.Mode {
-		case "sim":
-			return o.runSim(stdout)
-		case "real":
-			return o.runReal(stdout)
-		default:
+		if o.Mode != "sim" && o.Mode != "real" {
 			return fmt.Errorf("unknown mode %q", o.Mode)
 		}
+		var wrong []string
+		fs.Visit(func(f *flag.Flag) {
+			if m, ok := modeOnly[f.Name]; ok && m != o.Mode {
+				wrong = append(wrong, "-"+f.Name)
+			}
+		})
+		if len(wrong) > 0 {
+			return &exitError{2, fmt.Errorf("%s not used by -mode %s", strings.Join(wrong, ", "), o.Mode)}
+		}
+		if o.Mode == "sim" {
+			return o.runSim(stdout)
+		}
+		return o.runReal(stdout)
 	}
 }
 
+// modeOnly maps each `run` flag that one mode alone reads to that
+// mode; the other mode refuses it rather than ignore it.
+var modeOnly = map[string]string{
+	"out": "real", "rendezvous": "real", "rendezvous-network": "real", "local-ranks": "real",
+	"proc-index": "real", "generation": "real", "serve-rendezvous": "real",
+	"power": "sim",
+}
+
 func (o *runOpts) runSim(stdout io.Writer) error {
-	r, err := simulate(o.Bench, o.Machine, o.Loader, o.Weak, o.Ranks, o.Epochs, o.Batch)
+	cfg, err := sim.NewConfig(o.Bench, o.Machine, o.Loader)
+	if err != nil {
+		return err
+	}
+	cfg.Ranks, cfg.Epochs, cfg.Batch = o.Ranks, o.Epochs, o.Batch
+	if o.Weak {
+		cfg.Scaling = sim.Weak
+	}
+	if o.Timeline != "" {
+		cfg.Timeline = trace.NewTimeline()
+	}
+	r, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -89,6 +122,35 @@ func (o *runOpts) runSim(stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "  avg device power   %10.1f W\n", r.AvgPowerW)
 	fmt.Fprintf(stdout, "  energy             %10.1f kJ/device, %.1f kJ total\n", r.EnergyJ/1e3, r.TotalEnergyJ/1e3)
+	if cfg.Timeline != nil {
+		if err := writeTimeline(cfg.Timeline, o.Timeline, stdout); err != nil {
+			return err
+		}
+	}
+	if o.Power != "" {
+		pt := core.PowerTrace(r)
+		if err := os.WriteFile(o.Power, []byte(pt.CSV()), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "power: %d samples -> %s\n", len(pt.Rows), o.Power)
+	}
+	return nil
+}
+
+// writeTimeline writes tl as a Chrome trace to path and says so.
+func writeTimeline(tl *trace.Timeline, path string, stdout io.Writer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tl.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "timeline: %d events -> %s\n", tl.Len(), path)
 	return nil
 }
 
@@ -234,18 +296,9 @@ func (o *runOpts) train(res *workerResult, stdout io.Writer) error {
 			f.Rank, f.Op, f.WorldSize, f.WorldSize-1)
 	}
 	if tl != nil {
-		f, err := os.Create(o.Timeline)
-		if err != nil {
+		if err := writeTimeline(tl, o.Timeline, stdout); err != nil {
 			return err
 		}
-		if err := tl.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "timeline: %d events -> %s\n", tl.Len(), o.Timeline)
 	}
 	r := out.Root
 	if o.Rendezvous != "" {

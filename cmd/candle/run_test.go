@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"candle/internal/candle"
+	"candle/internal/trace"
 )
 
 func TestRunSimMode(t *testing.T) {
@@ -111,12 +115,155 @@ func TestRunErrors(t *testing.T) {
 		{"fleet/zero replicas", []string{"fleet", "-dir", ckpt, "-replicas", "0"}},
 		{"fleet/bad benchmark", []string{"fleet", "-bench", "NT99", "-dir", ckpt, "-replicas", "1", "-sample-div", "1", "-feature-div", "1"}},
 		{"fleet/no checkpoint, no -bootstrap", []string{"fleet", "-dir", ckpt, "-addr", "127.0.0.1:0", "-sample-div", "40", "-feature-div", "4000"}},
-		{"timeline/bad loader", []string{"timeline", "-ranks", "4", "-loader", "warp", "-o", filepath.Join(ckpt, "x.json")}},
-		{"timeline/bad benchmark", []string{"timeline", "-bench", "NT99", "-ranks", "4", "-o", filepath.Join(ckpt, "x.json")}},
-		{"timeline/unwritable output", []string{"timeline", "-ranks", "4", "-o", "/nonexistent/dir/x.json"}},
+		{"run/negative epochs", []string{"run", "-ranks", "6", "-epochs", "-5"}},
+		{"run/negative batch", []string{"run", "-ranks", "6", "-batch", "-3"}},
+		{"run/timeline, bad loader", []string{"run", "-ranks", "4", "-loader", "warp", "-timeline", filepath.Join(ckpt, "x.json")}},
+		{"run/timeline, bad benchmark", []string{"run", "-bench", "NT99", "-ranks", "4", "-timeline", filepath.Join(ckpt, "x.json")}},
+		{"run/timeline, unwritable output", []string{"run", "-ranks", "4", "-timeline", "/nonexistent/dir/x.json"}},
+		{"run/power, unwritable output", []string{"run", "-ranks", "4", "-power", "/nonexistent/dir/x.csv"}},
 	} {
 		if code, _, stderr := candleCLI(tc.args...); code != 1 {
 			t.Errorf("%s: exit %d, want 1\n%s", tc.name, code, stderr)
+		}
+	}
+}
+
+// TestRunModeOnlyFlags: a flag only the other mode reads is a usage
+// error naming it, not a silent no-op (sim mode used to exit 0 and
+// write no -timeline or -out file).
+func TestRunModeOnlyFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range [][]string{
+		{"-out", filepath.Join(dir, "r.json")},
+		{"-rendezvous", filepath.Join(dir, "rdv.sock")},
+		{"-rendezvous-network", "unix"},
+		{"-local-ranks", "2"},
+		{"-proc-index", "1"},
+		{"-generation", "1"},
+		{"-serve-rendezvous"},
+	} {
+		code, _, stderr := candleCLI(append([]string{"run", "-bench", "NT3", "-ranks", "384"}, tc...)...)
+		if code != 2 || !strings.Contains(stderr, tc[0]) {
+			t.Errorf("sim mode with %s: exit %d, stderr %q; want 2 naming the flag", tc[0], code, stderr)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "r.json")); err == nil {
+		t.Error("refused sim run still wrote -out")
+	}
+	code, _, stderr := candleCLI("run", "-mode", "real", "-power", filepath.Join(dir, "p.csv"))
+	if code != 2 || !strings.Contains(stderr, "-power") {
+		t.Errorf("real mode with -power: exit %d, stderr %q; want 2 naming the flag", code, stderr)
+	}
+}
+
+// readTrace runs `candle run` with -timeline and returns the trace.
+func readTrace(t *testing.T, args ...string) *trace.Timeline {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "tl.json")
+	mustCandle(t, append(append([]string{"run"}, args...), "-timeline", out)...)
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tl, err := trace.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
+func TestRunWritesChromeTrace(t *testing.T) {
+	tl := readTrace(t, "-bench", "NT3", "-ranks", "384", "-loader", "naive")
+	if tl.Len() == 0 {
+		t.Fatal("empty timeline")
+	}
+	if ranks := tl.Ranks(); len(ranks) != 8 {
+		t.Fatalf("timeline records ranks %v, want the first 8", ranks)
+	}
+	if _, end, ok := tl.Span("broadcast"); !ok || end <= 0 {
+		t.Fatal("no broadcast span")
+	}
+	// -machine applies to the timeline too.
+	if theta := readTrace(t, "-bench", "NT3", "-machine", "theta", "-ranks", "384"); theta.Len() == 0 {
+		t.Fatal("empty theta timeline")
+	}
+}
+
+func TestRunWeakScaling(t *testing.T) {
+	tl := readTrace(t, "-bench", "NT3", "-ranks", "768", "-epochs", "8", "-weak", "-loader", "chunked")
+	// One allreduce piece per epoch on every recorded rank (Figure 19).
+	if n := len(tl.Filter("NCCL_allreduce")); n != 8*8 {
+		t.Fatalf("%d allreduce pieces, want 8 epochs x 8 ranks", n)
+	}
+}
+
+// powerTrace runs `candle run` with -power and returns the CSV records.
+func powerTrace(t *testing.T, args ...string) [][]string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "power.csv")
+	stdout := mustCandle(t, append(append([]string{"run"}, args...), "-power", out)...)
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("power: %d samples -> %s", len(recs)-1, out); !strings.Contains(stdout, want) {
+		t.Fatalf("stdout does not report %q:\n%s", want, stdout)
+	}
+	return recs
+}
+
+func TestRunPower(t *testing.T) {
+	summit := powerTrace(t, "-bench", "NT3", "-ranks", "48")
+	if strings.Join(summit[0], ",") != "t_s,watts" || len(summit) < 100 || summit[2][0] != "1" {
+		t.Fatalf("summit trace: header %v, %d rows, second sample at %v; want t_s,watts at 1 Hz",
+			summit[0], len(summit)-1, summit[2][0])
+	}
+	theta := powerTrace(t, "-bench", "NT3", "-machine", "theta", "-ranks", "96", "-loader", "chunked")
+	if strings.Join(theta[0], ",") != "t_s,watts,node_W,cpu_W,mem_W" || theta[2][0] != "0.5" {
+		t.Fatalf("theta trace: header %v, second sample at %v; want the PoLiMEr columns at 2 Hz", theta[0], theta[2][0])
+	}
+	for _, rec := range theta[1:] {
+		if len(rec) != 5 || rec[2] == "" {
+			t.Fatalf("theta row %v", rec)
+		}
+	}
+	weak := powerTrace(t, "-bench", "NT3", "-ranks", "768", "-loader", "parallel", "-weak", "-epochs", "8")
+	if len(weak) < 100 {
+		t.Fatalf("weak-scaling trace has %d rows", len(weak)-1)
+	}
+}
+
+func TestRunPowerErrors(t *testing.T) {
+	for name, args := range map[string][]string{
+		"bad machine":   {"-machine", "frontier"},
+		"bad benchmark": {"-bench", "NT99"},
+		"bad loader":    {"-loader", "warp"},
+	} {
+		out := filepath.Join(t.TempDir(), "power.csv")
+		if code, _, _ := candleCLI(append([]string{"run", "-ranks", "1", "-power", out}, args...)...); code != 1 {
+			t.Errorf("%s: exit %d, want 1", name, code)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s: wrote a power trace", name)
+		}
+	}
+}
+
+func TestRunPowerUnknownBenchmarkIsActionable(t *testing.T) {
+	code, _, stderr := candleCLI("run", "-bench", "NT99", "-ranks", "1", "-power", filepath.Join(t.TempDir(), "p.csv"))
+	if code != 1 {
+		t.Fatalf("unknown benchmark: exit %d, want 1", code)
+	}
+	// The message the CLI prints must list the valid pilot names.
+	for _, want := range []string{"NT3", "P1B1", "P1B2", "P1B3"} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("error %q does not mention %s", stderr, want)
 		}
 	}
 }

@@ -14,14 +14,13 @@ import (
 
 	"candle/internal/candle"
 	"candle/internal/checkpoint"
-	"candle/internal/hpc"
 	"candle/internal/mpi"
-	"candle/internal/sim"
 )
 
 // The -bench help texts. Subcommands that build a real model resolve
 // the name through candle.Scaled, which also knows the Pilot2/Pilot3
-// models; the simulator only has the paper's four calibrations.
+// models; the simulator (run -mode sim, advise) only has the paper's
+// four calibrations.
 const (
 	benchUsage    = "benchmark: NT3, P1B1, P1B2, P1B3, P2B1, P3B1"
 	simBenchUsage = "benchmark: NT3, P1B1, P1B2, P1B3"
@@ -177,32 +176,6 @@ func prepareData(b *candle.Benchmark, dir string, seed int64) (string, func(), e
 		return "", nil, err
 	}
 	return dir, cleanup, nil
-}
-
-// simulate runs the paper-scale performance model once; `run -mode sim`
-// and `power` print different views of the result (which carries the
-// resolved machine, benchmark, loader and scaling in its Config).
-func simulate(bench, machine, loader string, weak bool, ranks, epochs, batch int) (*sim.Result, error) {
-	m, err := hpc.ByName(machine)
-	if err != nil {
-		return nil, err
-	}
-	b, err := sim.BenchByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	ld, err := sim.LoaderByName(loader)
-	if err != nil {
-		return nil, err
-	}
-	scaling := sim.Strong
-	if weak {
-		scaling = sim.Weak
-	}
-	return sim.Run(sim.Config{
-		Machine: m, Bench: b, Ranks: ranks, Scaling: scaling,
-		Epochs: epochs, Batch: batch, Loader: ld,
-	})
 }
 
 // forwarder snapshots the flags registered on fs so far — launch and

@@ -1,32 +1,49 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"candle/internal/candle"
 	"candle/internal/core"
 	"candle/internal/report"
 )
 
-// sweepCmd regenerates one (or all) of the paper's tables and figures
-// from the calibrated models.
+// sweepCmd regenerates some or all of the paper's tables and figures
+// from the calibrated models, or writes them all as a reproduction
+// bundle.
 //
 //	candle sweep -exp fig6a
 //	candle sweep -exp table3 -csv
+//	candle sweep -exp table1,table2,table3,table4,table5,table6
 //	candle sweep -exp all
 //	candle sweep -list
+//	candle sweep -o reproduction/
 func sweepCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var (
-		exp     = fs.String("exp", "all", "experiment ID (e.g. fig6a, table3, sec5.4) or 'all'")
+		exp     = fs.String("exp", "all", "comma-separated experiment IDs (e.g. fig6a,table3,sec5.4) or 'all'")
 		csv     = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		chart   = fs.Int("chart", -1, "also render an ASCII bar chart of this column index (labels from column 0)")
 		list    = fs.Bool("list", false, "list experiment IDs and exit")
 		loaders = fs.String("loaders", "", "run a real-mode phase-1 comparison of every registered CSV engine on this benchmark (e.g. NT3)")
+		out     = fs.String("o", "", "write the full reproduction bundle into this directory: every table and figure as text and CSV, the Figure 7b/12/19 timelines, the Figure 7a power trace")
 	)
 	return func(stdout, stderr io.Writer) error {
+		if *out != "" {
+			if fs.NFlag() > 1 {
+				return &exitError{2, errors.New("-o writes every artifact and takes no other flag")}
+			}
+			n, err := core.WriteBundle(*out)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %d artifact files to %s/\n", n, *out)
+			return nil
+		}
 		switch {
 		case *list:
 			for _, e := range core.Experiments() {
@@ -41,16 +58,8 @@ func sweepCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		case *exp == "all":
 			return runExperiments(stdout, core.Experiments(), *csv, *chart)
 		default:
-			return runExperimentIDs(stdout, []string{*exp}, *csv, *chart)
+			return runExperimentIDs(stdout, strings.Split(*exp, ","), *csv, *chart)
 		}
-	}
-}
-
-// tablesCmd prints the paper's six numbered tables (Tables 1-6)
-// regenerated from this repository's models: `sweep` over their IDs.
-func tablesCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
-	return func(stdout, stderr io.Writer) error {
-		return runExperimentIDs(stdout, []string{"table1", "table2", "table3", "table4", "table5", "table6"}, false, -1)
 	}
 }
 

@@ -56,7 +56,13 @@ func TestEndToEndAllLoadersProduceSameTraining(t *testing.T) {
 }
 
 func TestEndToEndTimelineFileRoundTrip(t *testing.T) {
-	tl, r, err := core.TimelineFor("NT3", 384, sim.Strong, 0, sim.LoaderNaive)
+	cfg, err := sim.NewConfig("NT3", "summit", "naive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := trace.NewTimeline()
+	cfg.Ranks, cfg.Timeline = 384, tl
+	r, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

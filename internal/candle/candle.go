@@ -8,8 +8,8 @@
 //
 // Real-mode runs train actual models on scaled-down synthetic datasets
 // with ranks as goroutines; the full-scale shapes are the province of
-// internal/sim. The two share the same hyperparameters via
-// sim.BenchCal.
+// internal/sim. The two share the same Table 1 training cards via
+// data.Spec.
 package candle
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"candle/internal/data"
 	"candle/internal/nn"
-	"candle/internal/sim"
 )
 
 // Benchmark couples a dataset spec with hyperparameters and a model
@@ -29,7 +28,7 @@ type Benchmark struct {
 	Spec data.Spec
 	// Cal carries the Table 1 hyperparameters (epochs, batch,
 	// learning rate, optimizer).
-	Cal sim.BenchCal
+	Cal data.Card
 	// Build constructs the (uncompiled) model for the given feature
 	// width.
 	Build func(spec data.Spec) *nn.Sequential
@@ -52,10 +51,9 @@ const (
 // pass 1, 1 for the paper's full shape.
 func NT3(sampleDiv, featureDiv int) *Benchmark {
 	spec := data.NT3().Scaled(sampleDiv, featureDiv)
-	cal := mustCal("NT3")
 	return &Benchmark{
 		Spec: spec,
-		Cal:  cal,
+		Cal:  spec.Card,
 		Loss: nn.CategoricalCrossEntropy{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			// The CANDLE NT3 architecture (conv-pool ×2, dense 200/20,
@@ -83,10 +81,9 @@ func NT3(sampleDiv, featureDiv int) *Benchmark {
 // encoding, bottleneck, and decoding layers).
 func P1B1(sampleDiv, featureDiv int) *Benchmark {
 	spec := data.P1B1().Scaled(sampleDiv, featureDiv)
-	cal := mustCal("P1B1")
 	return &Benchmark{
 		Spec: spec,
-		Cal:  cal,
+		Cal:  spec.Card,
 		Loss: nn.MeanSquaredError{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			latent := spec.Latent
@@ -111,10 +108,9 @@ func P1B1(sampleDiv, featureDiv int) *Benchmark {
 // a 5-layer MLP with dropout regularization).
 func P1B2(sampleDiv, featureDiv int) *Benchmark {
 	spec := data.P1B2().Scaled(sampleDiv, featureDiv)
-	cal := mustCal("P1B2")
 	return &Benchmark{
 		Spec: spec,
-		Cal:  cal,
+		Cal:  spec.Card,
 		Loss: nn.CategoricalCrossEntropy{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			// "MLP with regularization" (§2.1.3): L2 kernel penalties
@@ -134,10 +130,9 @@ func P1B2(sampleDiv, featureDiv int) *Benchmark {
 // MLP with convolution-like layers).
 func P1B3(sampleDiv, featureDiv int) *Benchmark {
 	spec := data.P1B3().Scaled(sampleDiv, featureDiv)
-	cal := mustCal("P1B3")
 	return &Benchmark{
 		Spec: spec,
-		Cal:  cal,
+		Cal:  spec.Card,
 		Loss: nn.MeanSquaredError{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			return nn.NewSequential("p1b3",
@@ -174,17 +169,6 @@ func Scaled(name string, sampleDiv, featureDiv int) (*Benchmark, error) {
 	default:
 		return nil, fmt.Errorf("candle: unknown benchmark %q", name)
 	}
-}
-
-// Names lists the four benchmarks in paper order.
-func Names() []string { return []string{"NT3", "P1B1", "P1B2", "P1B3"} }
-
-func mustCal(name string) sim.BenchCal {
-	cal, err := sim.BenchByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return cal
 }
 
 func clampKernel(want, steps int) int {

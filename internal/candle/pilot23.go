@@ -3,7 +3,6 @@ package candle
 import (
 	"candle/internal/data"
 	"candle/internal/nn"
-	"candle/internal/sim"
 )
 
 // The paper's parallel methodology "can be applied to other CANDLE
@@ -19,10 +18,7 @@ func P2B1(sampleDiv, featureDiv int) *Benchmark {
 	spec := data.P2B1().Scaled(sampleDiv, featureDiv)
 	return &Benchmark{
 		Spec: spec,
-		Cal: sim.BenchCal{
-			Name: "P2B1", TrainSamples: spec.TrainSamples, TestSamples: spec.TestSamples,
-			DefaultBatch: 32, DefaultEpochs: 100, LearningRate: 0.001, Optimizer: "adam",
-		},
+		Cal:  spec.Card,
 		Loss: nn.MeanSquaredError{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			latent := spec.Latent
@@ -58,11 +54,7 @@ func P3B1(sampleDiv, featureDiv int) *Benchmark {
 	}
 	return &Benchmark{
 		Spec: spec,
-		Cal: sim.BenchCal{
-			Name: "P3B1", TrainSamples: spec.TrainSamples, TestSamples: spec.TestSamples,
-			DefaultBatch: 16, DefaultEpochs: 50, LearningRate: 0.01, Optimizer: "adam",
-			Classification: true,
-		},
+		Cal:  spec.Card,
 		Loss: nn.CategoricalCrossEntropy{},
 		Build: func(spec data.Spec) *nn.Sequential {
 			const dim = 8
@@ -74,7 +66,3 @@ func P3B1(sampleDiv, featureDiv int) *Benchmark {
 		},
 	}
 }
-
-// ExtendedNames lists every implemented benchmark: the four Pilot1
-// benchmarks the paper evaluates plus the Pilot2/Pilot3-style ones.
-func ExtendedNames() []string { return append(Names(), "P2B1", "P3B1") }

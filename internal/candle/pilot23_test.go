@@ -8,13 +8,6 @@ import (
 	"candle/internal/nn"
 )
 
-func TestExtendedNames(t *testing.T) {
-	names := ExtendedNames()
-	if len(names) != 6 || names[4] != "P2B1" || names[5] != "P3B1" {
-		t.Fatalf("ExtendedNames = %v", names)
-	}
-}
-
 func TestP2B1BuildsAndSpecs(t *testing.T) {
 	full := data.P2B1()
 	if full.TrainSamples != 3840 || full.Features != 11340 || full.Kind != data.Autoencoder {

@@ -93,13 +93,13 @@ func WriteBundle(dir string) (int, error) {
 		ranks   int
 		scaling sim.Scaling
 		epochs  int
-		loader  sim.Loader
+		loader  string
 	}{
-		{"fig7b", 384, sim.Strong, 0, sim.LoaderNaive},
-		{"fig12", 384, sim.Strong, 0, sim.LoaderChunked},
-		{"fig19", 768, sim.Weak, 8, sim.LoaderNaive},
+		{"fig7b", 384, sim.Strong, 0, "naive"},
+		{"fig12", 384, sim.Strong, 0, "chunked"},
+		{"fig19", 768, sim.Weak, 8, "naive"},
 	} {
-		tl, _, err := TimelineFor("NT3", tc.ranks, tc.scaling, tc.epochs, tc.loader)
+		tl, _, err := nt3Timeline(tc.ranks, tc.scaling, tc.epochs, tc.loader)
 		if err != nil {
 			return written, err
 		}
@@ -118,27 +118,42 @@ func WriteBundle(dir string) (int, error) {
 	}
 
 	// Figure 7a power trace as CSV.
-	nt3, err := sim.BenchByName("NT3")
+	r, err := mustSummit("NT3", 384, 0, "naive")
 	if err != nil {
 		return written, err
 	}
-	r, err := sim.Run(sim.Config{
-		Machine: hpc.Summit(), Bench: nt3, Ranks: 384,
-		Scaling: sim.Strong, Loader: sim.LoaderNaive,
-	})
-	if err != nil {
-		return written, err
-	}
-	samples := power.Sampler{RateHz: 1}.Samples(r.Profile, r.PowerModel)
-	pt := report.New("fig7a-trace", "GPU power trace", "t_s", "watts")
-	for _, s := range samples {
-		pt.AddRow(report.F(s.T, 0), report.F(s.Watts, 1))
-	}
-	if err := os.WriteFile(filepath.Join(dir, "power", "fig7a.csv"), []byte(pt.CSV()), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "power", "fig7a.csv"), []byte(PowerTrace(r).CSV()), 0o644); err != nil {
 		return written, fmt.Errorf("core: %w", err)
 	}
 	written++
 	return written, nil
+}
+
+// PowerTrace tabulates every sample the machine's power monitor logs
+// over a simulated run: t_s,watts for one device at the machine's
+// sampling rate (nvidia-smi's 1 Hz on Summit), plus PoLiMEr's
+// node_W,cpu_W,mem_W breakdown on Theta (CapMC's 2 Hz). Its CSV is
+// the Figure 7(a) trace.
+func PowerTrace(r *sim.Result) *report.Table {
+	m := r.Config.Machine
+	samples := power.Sampler{RateHz: m.PowerSampleHz}.Samples(r.Profile, r.PowerModel)
+	headers := []string{"t_s", "watts"}
+	var parts []power.ComponentSample
+	if m.Name == hpc.Theta().Name {
+		parts = power.ThetaComponents().Samples(r.Profile, m.PowerSampleHz)
+		headers = append(headers, "node_W", "cpu_W", "mem_W")
+	}
+	t := report.New("power", "power trace of "+r.Config.Bench.Name+" on "+m.Name, headers...)
+	for i, s := range samples {
+		// -1: the shortest exact form, whole seconds at 1 Hz.
+		row := []string{report.F(s.T, -1), report.F(s.Watts, 1)}
+		if parts != nil {
+			w := parts[i].W
+			row = append(row, report.F(w.Node, 1), report.F(w.CPU, 1), report.F(w.Mem, 1))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // sanitize maps artifact IDs to filesystem-safe names ("sec5.4" →

@@ -26,9 +26,9 @@ func TestWriteBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range IDs() {
-		if !strings.Contains(string(raw), "== "+id+":") {
-			t.Fatalf("tables.txt missing %s", id)
+	for _, e := range Experiments() {
+		if !strings.Contains(string(raw), "== "+e.ID+":") {
+			t.Fatalf("tables.txt missing %s", e.ID)
 		}
 	}
 	// The sec5.4 CSV must exist under a sanitized name.

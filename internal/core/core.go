@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"candle/internal/hpc"
 	"candle/internal/report"
 	"candle/internal/sim"
 	"candle/internal/trace"
@@ -122,16 +121,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists every experiment ID in paper order.
-func IDs() []string {
-	exps := Experiments()
-	out := make([]string, len(exps))
-	for i, e := range exps {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // RunAll executes every experiment, returning tables in paper order.
 func RunAll() ([]*report.Table, error) {
 	var out []*report.Table
@@ -147,34 +136,44 @@ func RunAll() ([]*report.Table, error) {
 
 // --- shared sweep helpers ---
 
-func run(m hpc.Machine, bench string, ranks int, scaling sim.Scaling, epochs, batch int, loader sim.Loader) (*sim.Result, error) {
-	b, err := sim.BenchByName(bench)
+func run(machine, bench string, ranks int, scaling sim.Scaling, epochs, batch int, loader string) (*sim.Result, error) {
+	cfg, err := sim.NewConfig(bench, machine, loader)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(sim.Config{
-		Machine: m, Bench: b, Ranks: ranks, Scaling: scaling,
-		Epochs: epochs, Batch: batch, Loader: loader,
-	})
+	cfg.Ranks, cfg.Scaling, cfg.Epochs, cfg.Batch = ranks, scaling, epochs, batch
+	return sim.Run(cfg)
 }
 
-func mustSummit(bench string, ranks int, batch int, loader sim.Loader) (*sim.Result, error) {
-	return run(hpc.Summit(), bench, ranks, sim.Strong, 0, batch, loader)
+func mustSummit(bench string, ranks int, batch int, loader string) (*sim.Result, error) {
+	return run("summit", bench, ranks, sim.Strong, 0, batch, loader)
+}
+
+// nt3Timeline simulates NT3 on Summit recording the Horovod timeline
+// of its first 8 ranks: Figures 7b, 12 and 19.
+func nt3Timeline(ranks int, scaling sim.Scaling, epochs int, loader string) (*trace.Timeline, *sim.Result, error) {
+	cfg, err := sim.NewConfig("NT3", "summit", loader)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Ranks, cfg.Scaling, cfg.Epochs, cfg.Timeline = ranks, scaling, epochs, trace.NewTimeline()
+	r, err := sim.Run(cfg)
+	return cfg.Timeline, r, err
 }
 
 // improvementTable builds the orig-vs-optimized table shared by
 // Figures 11, 13–17, 20, 21.
-func improvementTable(id, title string, m hpc.Machine, bench string, scaling sim.Scaling, epochs int, ranksList []int) (*report.Table, error) {
+func improvementTable(id, title, machine, bench string, scaling sim.Scaling, epochs int, ranksList []int) (*report.Table, error) {
 	t := report.New(id, title,
 		"workers", "original_total_s", "optimized_total_s", "improvement",
 		"original_energy_kJ", "optimized_energy_kJ", "energy_saving")
 	maxImp, maxES := 0.0, 0.0
 	for _, n := range ranksList {
-		orig, err := run(m, bench, n, scaling, epochs, 0, sim.LoaderNaive)
+		orig, err := run(machine, bench, n, scaling, epochs, 0, "naive")
 		if err != nil {
 			return nil, err
 		}
-		opt, err := run(m, bench, n, scaling, epochs, 0, sim.LoaderChunked)
+		opt, err := run(machine, bench, n, scaling, epochs, 0, "chunked")
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"candle/internal/sim"
 )
 
 func TestBatchFor(t *testing.T) {
@@ -50,16 +48,16 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "sec5.4",
 	}
 	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	for _, e := range Experiments() {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {
 			t.Fatalf("experiment registry missing %s", id)
 		}
 	}
-	if len(IDs()) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(IDs()), len(want))
+	if n := len(Experiments()); n != len(want) {
+		t.Fatalf("registry has %d entries, want %d", n, len(want))
 	}
 	if _, ok := ByID("fig11"); !ok {
 		t.Fatal("ByID lookup failed")
@@ -202,19 +200,6 @@ func TestFigure18WeakScalingDecreasing(t *testing.T) {
 			t.Fatalf("weak-scaling improvement not decreasing: %v", tb.Rows)
 		}
 		prev = imp
-	}
-}
-
-func TestTimelineForProducesEvents(t *testing.T) {
-	tl, r, err := TimelineFor("NT3", 384, sim.Strong, 0, sim.LoaderNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Len() == 0 {
-		t.Fatal("no events")
-	}
-	if r.BroadcastTime <= 0 {
-		t.Fatal("no broadcast overhead")
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"candle/internal/hpc"
-	"candle/internal/power"
 	"candle/internal/report"
 	"candle/internal/sim"
-	"candle/internal/trace"
 )
 
 // Table1 regenerates the benchmark-configuration table.
@@ -20,20 +17,9 @@ func Table1() (*report.Table, error) {
 		if b.Name == "P1B1" {
 			lr = "none" // Table 1: adam uses its default
 		}
-		elems := float64(0)
-		switch b.Name {
-		case "NT3":
-			elems = 60.483
-		case "P1B1":
-			elems = 60.484
-		case "P1B2":
-			elems = 28.204
-		case "P1B3":
-			elems = 1.000
-		}
 		t.AddRow(b.Name, report.I(b.TrainFileMB), report.I(b.TestFileMB),
 			report.I(b.DefaultEpochs), report.I(b.DefaultBatch), lr, b.Optimizer,
-			report.I(b.TrainSamples), report.F(elems, 3))
+			report.I(b.TrainSamples), report.F(float64(b.Features)/1000, 3))
 	}
 	return t, nil
 }
@@ -43,11 +29,11 @@ func Figure6a() (*report.Table, error) {
 	t := report.New("fig6a", "Horovod NT3 on Summit: performance vs GPUs",
 		"gpus", "tensorflow_s(bs20)", "total_runtime_s(bs20)", "total_runtime_s(bs40)", "data_loading_s")
 	for _, n := range SummitGPUs {
-		r20, err := mustSummit("NT3", n, 20, sim.LoaderNaive)
+		r20, err := mustSummit("NT3", n, 20, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r40, err := mustSummit("NT3", n, 40, sim.LoaderNaive)
+		r40, err := mustSummit("NT3", n, 40, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -63,11 +49,11 @@ func Figure6b() (*report.Table, error) {
 	t := report.New("fig6b", "Horovod NT3 on Summit: training accuracy vs GPUs",
 		"gpus", "epochs_per_gpu", "accuracy(bs20)", "accuracy(bs40)")
 	for _, n := range SummitGPUs {
-		r20, err := mustSummit("NT3", n, 20, sim.LoaderNaive)
+		r20, err := mustSummit("NT3", n, 20, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r40, err := mustSummit("NT3", n, 40, sim.LoaderNaive)
+		r40, err := mustSummit("NT3", n, 40, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -83,11 +69,11 @@ func Table2() (*report.Table, error) {
 	t := report.New("table2", "Time per epoch (s) and average GPU power (W) for Horovod NT3",
 		"gpus", "time_per_epoch_s(bs20)", "time_per_epoch_s(bs40)", "avg_gpu_power_W(bs20)", "avg_gpu_power_W(bs40)")
 	for _, n := range SummitGPUs {
-		r20, err := mustSummit("NT3", n, 20, sim.LoaderNaive)
+		r20, err := mustSummit("NT3", n, 20, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r40, err := mustSummit("NT3", n, 40, sim.LoaderNaive)
+		r40, err := mustSummit("NT3", n, 40, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -101,16 +87,15 @@ func Table2() (*report.Table, error) {
 // Figure7a regenerates the per-GPU power trace on 384 GPUs (1 Hz
 // nvidia-smi sampling), thinned for tabulation.
 func Figure7a() (*report.Table, error) {
-	r, err := mustSummit("NT3", 384, 20, sim.LoaderNaive)
+	r, err := mustSummit("NT3", 384, 20, "naive")
 	if err != nil {
 		return nil, err
 	}
-	samples := power.Sampler{RateHz: hpc.Summit().PowerSampleHz}.Samples(r.Profile, r.PowerModel)
 	t := report.New("fig7a", "NT3 GPU power over time on 384 GPUs (1 Hz samples, every 10th shown)",
 		"t_s", "gpu_power_W")
-	for i, s := range samples {
+	for i, row := range PowerTrace(r).Rows {
 		if i%10 == 0 {
-			t.AddRow(report.F(s.T, 0), report.F(s.Watts, 1))
+			t.AddRow(row...)
 		}
 	}
 	t.AddNote("data loading ≈%.0f s at low power, then broadcast, then high-power training", r.LoadTime)
@@ -118,9 +103,10 @@ func Figure7a() (*report.Table, error) {
 }
 
 // Figure7b regenerates the Horovod timeline summary for NT3 on 384
-// GPUs. Use TimelineFor to obtain the raw Chrome-trace events.
+// GPUs; `candle run -mode sim -timeline` writes the raw Chrome-trace
+// events.
 func Figure7b() (*report.Table, error) {
-	tl, r, err := TimelineFor("NT3", 384, sim.Strong, 0, sim.LoaderNaive)
+	tl, r, err := nt3Timeline(384, sim.Strong, 0, "naive")
 	if err != nil {
 		return nil, err
 	}
@@ -131,35 +117,17 @@ func Figure7b() (*report.Table, error) {
 	return t, nil
 }
 
-// TimelineFor runs a simulated configuration with timeline recording
-// and returns the timeline and result.
-func TimelineFor(bench string, ranks int, scaling sim.Scaling, epochs int, loader sim.Loader) (*trace.Timeline, *sim.Result, error) {
-	b, err := sim.BenchByName(bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	tl := trace.NewTimeline()
-	r, err := sim.Run(sim.Config{
-		Machine: hpc.Summit(), Bench: b, Ranks: ranks, Scaling: scaling,
-		Epochs: epochs, Loader: loader, Timeline: tl, TimelineRanks: 8,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tl, r, nil
-}
-
 // Figure8a regenerates the P1B1 performance series (bs 100/110).
 func Figure8a() (*report.Table, error) {
 	t := report.New("fig8a", "Horovod P1B1 on Summit: performance vs GPUs",
 		"gpus", "tensorflow_s(bs100)", "total_runtime_s(bs100)", "total_runtime_s(bs110)", "data_loading_s")
 	// P1B1 requires at least 4 epochs → at most 96 GPUs.
 	for _, n := range ranksUpTo(SummitGPUs, 384, 4) {
-		r100, err := mustSummit("P1B1", n, 100, sim.LoaderNaive)
+		r100, err := mustSummit("P1B1", n, 100, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r110, err := mustSummit("P1B1", n, 110, sim.LoaderNaive)
+		r110, err := mustSummit("P1B1", n, 110, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -175,11 +143,11 @@ func Figure8b() (*report.Table, error) {
 	t := report.New("fig8b", "Horovod P1B1 on Summit: training loss vs GPUs",
 		"gpus", "epochs_per_gpu", "loss(bs100)", "loss(bs110)")
 	for _, n := range ranksUpTo(SummitGPUs, 384, 4) {
-		r100, err := mustSummit("P1B1", n, 100, sim.LoaderNaive)
+		r100, err := mustSummit("P1B1", n, 100, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r110, err := mustSummit("P1B1", n, 110, sim.LoaderNaive)
+		r110, err := mustSummit("P1B1", n, 110, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -195,11 +163,11 @@ func Figure9a() (*report.Table, error) {
 	t := report.New("fig9a", "Horovod P1B2 on Summit: performance vs GPUs",
 		"gpus", "tensorflow_s(bs60)", "total_runtime_s(bs60)", "total_runtime_s(bs100)", "data_loading_s")
 	for _, n := range SummitGPUs {
-		r60, err := mustSummit("P1B2", n, 60, sim.LoaderNaive)
+		r60, err := mustSummit("P1B2", n, 60, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r100, err := mustSummit("P1B2", n, 100, sim.LoaderNaive)
+		r100, err := mustSummit("P1B2", n, 100, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -215,11 +183,11 @@ func Figure9b() (*report.Table, error) {
 	t := report.New("fig9b", "Horovod P1B2 on Summit: accuracy vs GPUs",
 		"gpus", "epochs_per_gpu", "accuracy(bs60)", "accuracy(bs100)")
 	for _, n := range SummitGPUs {
-		r60, err := mustSummit("P1B2", n, 60, sim.LoaderNaive)
+		r60, err := mustSummit("P1B2", n, 60, "naive")
 		if err != nil {
 			return nil, err
 		}
-		r100, err := mustSummit("P1B2", n, 100, sim.LoaderNaive)
+		r100, err := mustSummit("P1B2", n, 100, "naive")
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +209,7 @@ func Figure10a() (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := run(hpc.Summit(), "P1B3", n, sim.Strong, 1, batch, sim.LoaderNaive)
+			r, err := run("summit", "P1B3", n, sim.Strong, 1, batch, "naive")
 			switch {
 			case errors.Is(err, sim.ErrOutOfMemory):
 				cells = append(cells, report.I(batch), "FAILED(OOM)")
@@ -268,7 +236,7 @@ func Figure10b() (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := run(hpc.Summit(), "P1B3", n, sim.Strong, 1, batch, sim.LoaderNaive)
+			r, err := run("summit", "P1B3", n, sim.Strong, 1, batch, "naive")
 			switch {
 			case errors.Is(err, sim.ErrOutOfMemory):
 				cells = append(cells, "FAILED(OOM)")
@@ -313,7 +281,7 @@ func Table4() (*report.Table, error) { return loadTable("table4", sim.ThetaCal()
 // Figure11 regenerates the NT3 original-vs-optimized study on Summit.
 func Figure11() (*report.Table, error) {
 	return improvementTable("fig11", "Horovod NT3 on Summit: original vs optimized",
-		hpc.Summit(), "NT3", sim.Strong, 0, SummitGPUs)
+		"summit", "NT3", sim.Strong, 0, SummitGPUs)
 }
 
 // Table5 regenerates the NT3 power/energy comparison.
@@ -321,11 +289,11 @@ func Table5() (*report.Table, error) {
 	t := report.New("table5", "GPU power (W) and energy (J) for Horovod NT3 on Summit",
 		"gpus", "power_W(orig)", "power_W(opt)", "power_increase", "energy_kJ/GPU(orig)", "energy_kJ/GPU(opt)", "energy_saving")
 	for _, n := range SummitGPUs {
-		orig, err := mustSummit("NT3", n, 20, sim.LoaderNaive)
+		orig, err := mustSummit("NT3", n, 20, "naive")
 		if err != nil {
 			return nil, err
 		}
-		opt, err := mustSummit("NT3", n, 20, sim.LoaderChunked)
+		opt, err := mustSummit("NT3", n, 20, "chunked")
 		if err != nil {
 			return nil, err
 		}
@@ -341,11 +309,11 @@ func Table5() (*report.Table, error) {
 
 // Figure12 regenerates the optimized-broadcast timeline comparison.
 func Figure12() (*report.Table, error) {
-	_, orig, err := TimelineFor("NT3", 384, sim.Strong, 0, sim.LoaderNaive)
+	orig, err := mustSummit("NT3", 384, 0, "naive")
 	if err != nil {
 		return nil, err
 	}
-	_, opt, err := TimelineFor("NT3", 384, sim.Strong, 0, sim.LoaderChunked)
+	opt, err := mustSummit("NT3", 384, 0, "chunked")
 	if err != nil {
 		return nil, err
 	}
@@ -361,31 +329,31 @@ func Figure12() (*report.Table, error) {
 // Figure13 regenerates the NT3 Theta improvement study.
 func Figure13() (*report.Table, error) {
 	return improvementTable("fig13", "Horovod NT3 on Theta: original vs optimized",
-		hpc.Theta(), "NT3", sim.Strong, 0, ThetaNodes)
+		"theta", "NT3", sim.Strong, 0, ThetaNodes)
 }
 
 // Figure14 regenerates the P1B1 Summit improvement study.
 func Figure14() (*report.Table, error) {
 	return improvementTable("fig14", "Horovod P1B1 on Summit: original vs optimized",
-		hpc.Summit(), "P1B1", sim.Strong, 0, ranksUpTo(SummitGPUs, 384, 4))
+		"summit", "P1B1", sim.Strong, 0, ranksUpTo(SummitGPUs, 384, 4))
 }
 
 // Figure15 regenerates the P1B1 Theta improvement study.
 func Figure15() (*report.Table, error) {
 	return improvementTable("fig15", "Horovod P1B1 on Theta: original vs optimized",
-		hpc.Theta(), "P1B1", sim.Strong, 0, ranksUpTo(ThetaNodes, 384, 4))
+		"theta", "P1B1", sim.Strong, 0, ranksUpTo(ThetaNodes, 384, 4))
 }
 
 // Figure16 regenerates the P1B2 Summit improvement study.
 func Figure16() (*report.Table, error) {
 	return improvementTable("fig16", "Horovod P1B2 on Summit: original vs optimized",
-		hpc.Summit(), "P1B2", sim.Strong, 0, SummitGPUs)
+		"summit", "P1B2", sim.Strong, 0, SummitGPUs)
 }
 
 // Figure17 regenerates the P1B2 Theta improvement study.
 func Figure17() (*report.Table, error) {
 	return improvementTable("fig17", "Horovod P1B2 on Theta: original vs optimized",
-		hpc.Theta(), "P1B2", sim.Strong, 0, ThetaNodes)
+		"theta", "P1B2", sim.Strong, 0, ThetaNodes)
 }
 
 // Section54 regenerates the P1B3 (cubic-root) improvement study.
@@ -398,11 +366,11 @@ func Section54() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		orig, err := run(hpc.Summit(), "P1B3", n, sim.Strong, 1, batch, sim.LoaderNaive)
+		orig, err := run("summit", "P1B3", n, sim.Strong, 1, batch, "naive")
 		if err != nil {
 			return nil, err
 		}
-		opt, err := run(hpc.Summit(), "P1B3", n, sim.Strong, 1, batch, sim.LoaderChunked)
+		opt, err := run("summit", "P1B3", n, sim.Strong, 1, batch, "chunked")
 		if err != nil {
 			return nil, err
 		}
@@ -420,16 +388,16 @@ func Section54() (*report.Table, error) {
 // Figure18 regenerates the NT3 weak-scaling study (8 epochs/GPU).
 func Figure18() (*report.Table, error) {
 	return improvementTable("fig18", "Horovod NT3 on Summit, weak scaling (8 epochs/GPU)",
-		hpc.Summit(), "NT3", sim.Weak, 8, WeakGPUs)
+		"summit", "NT3", sim.Weak, 8, WeakGPUs)
 }
 
 // Figure19 regenerates the weak-scaling timeline on 768 GPUs.
 func Figure19() (*report.Table, error) {
-	tlOrig, orig, err := TimelineFor("NT3", 768, sim.Weak, 8, sim.LoaderNaive)
+	tlOrig, orig, err := nt3Timeline(768, sim.Weak, 8, "naive")
 	if err != nil {
 		return nil, err
 	}
-	_, opt, err := TimelineFor("NT3", 768, sim.Weak, 8, sim.LoaderChunked)
+	opt, err := run("summit", "NT3", 768, sim.Weak, 8, 0, "chunked")
 	if err != nil {
 		return nil, err
 	}
@@ -448,11 +416,11 @@ func Table6() (*report.Table, error) {
 	t := report.New("table6", "NT3 weak scaling: accuracy, time/epoch (s), avg GPU power (W)",
 		"gpus", "accuracy(orig)", "accuracy(opt)", "time_per_epoch_s(orig)", "time_per_epoch_s(opt)", "power_W(orig)", "power_W(opt)")
 	for _, n := range append([]int{1}, WeakGPUs...) {
-		orig, err := run(hpc.Summit(), "NT3", n, sim.Weak, 8, 0, sim.LoaderNaive)
+		orig, err := run("summit", "NT3", n, sim.Weak, 8, 0, "naive")
 		if err != nil {
 			return nil, err
 		}
-		opt, err := run(hpc.Summit(), "NT3", n, sim.Weak, 8, 0, sim.LoaderChunked)
+		opt, err := run("summit", "NT3", n, sim.Weak, 8, 0, "chunked")
 		if err != nil {
 			return nil, err
 		}
@@ -468,11 +436,11 @@ func Table6() (*report.Table, error) {
 // Figure20 regenerates the P1B1 weak-scaling study.
 func Figure20() (*report.Table, error) {
 	return improvementTable("fig20", "Horovod P1B1 on Summit, weak scaling (8 epochs/GPU)",
-		hpc.Summit(), "P1B1", sim.Weak, 8, WeakGPUs)
+		"summit", "P1B1", sim.Weak, 8, WeakGPUs)
 }
 
 // Figure21 regenerates the P1B2 weak-scaling study.
 func Figure21() (*report.Table, error) {
 	return improvementTable("fig21", "Horovod P1B2 on Summit, weak scaling (8 epochs/GPU)",
-		hpc.Summit(), "P1B2", sim.Weak, 8, WeakGPUs)
+		"summit", "P1B2", sim.Weak, 8, WeakGPUs)
 }

@@ -40,15 +40,6 @@ func ExtraExperiments() []Experiment {
 	}
 }
 
-// AllExperimentIDs returns paper + extra experiment IDs.
-func AllExperimentIDs() []string {
-	ids := IDs()
-	for _, e := range ExtraExperiments() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
 // ByIDAll looks up paper experiments first, then extras.
 func ByIDAll(id string) (Experiment, bool) {
 	if e, ok := ByID(id); ok {

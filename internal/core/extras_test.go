@@ -10,10 +10,6 @@ func TestExtraExperimentsRegistered(t *testing.T) {
 	if len(extras) != 6 {
 		t.Fatalf("extras = %d", len(extras))
 	}
-	ids := AllExperimentIDs()
-	if len(ids) != len(Experiments())+6 {
-		t.Fatalf("AllExperimentIDs = %d", len(ids))
-	}
 	if _, ok := ByIDAll("xps"); !ok {
 		t.Fatal("xps lookup")
 	}

@@ -58,7 +58,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Spec describes a dataset's shape and planted structure.
+// Card is a benchmark's training card: the hyperparameters Table 1 of
+// the paper gives for it (this repository's choice for the
+// Pilot2/Pilot3-style P2B1 and P3B1). Real runs train with it and the
+// simulator prices it.
+type Card struct {
+	DefaultBatch  int
+	DefaultEpochs int
+	LearningRate  float64
+	Optimizer     string
+}
+
+// Spec describes a dataset's shape and planted structure, and carries
+// the benchmark's training card.
 type Spec struct {
 	Name         string
 	Kind         Kind
@@ -75,6 +87,8 @@ type Spec struct {
 	SignalStrength float64
 	// Vocab is the token-id alphabet size (TextClassification only).
 	Vocab int
+	// Card is the benchmark's training card.
+	Card
 }
 
 // Validate reports malformed specs.

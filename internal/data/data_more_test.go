@@ -22,17 +22,13 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestAllSpecsValidate(t *testing.T) {
-	specs := AllSpecs()
-	if len(specs) != 6 {
-		t.Fatalf("AllSpecs = %d entries", len(specs))
-	}
-	for _, s := range specs {
+	for _, s := range []Spec{NT3(), P1B1(), P1B2(), P1B3(), P2B1(), P3B1()} {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-	}
-	if s, ok := ByName("P3B1"); !ok || s.Kind != TextClassification {
-		t.Fatal("P3B1 lookup")
+		if s.DefaultBatch <= 0 || s.DefaultEpochs <= 0 || s.LearningRate <= 0 || s.Optimizer == "" {
+			t.Fatalf("%s: incomplete training card %+v", s.Name, s.Card)
+		}
 	}
 }
 

@@ -27,18 +27,6 @@ func TestSpecsMatchTable1(t *testing.T) {
 	if p1b3.TrainSamples != 900100 || p1b3.Features != 1000 || p1b3.Kind != Regression {
 		t.Fatalf("P1B3 spec: %+v", p1b3)
 	}
-	if len(Specs()) != 4 {
-		t.Fatal("Specs should list 4 benchmarks")
-	}
-}
-
-func TestByName(t *testing.T) {
-	if s, ok := ByName("NT3"); !ok || s.Name != "NT3" {
-		t.Fatal("NT3 lookup failed")
-	}
-	if _, ok := ByName("NT99"); ok {
-		t.Fatal("bogus name found")
-	}
 }
 
 func TestValidate(t *testing.T) {

@@ -1,54 +1,53 @@
 package data
 
-// Full-scale dataset specs matching Table 1 of the paper. The
-// train/test sample counts and elements per sample are the paper's;
-// test-set sizes are derived from the reported file-size ratios where
-// the paper does not state them directly.
+// Full-scale dataset specs matching Table 1 of the paper: the
+// train/test sample counts, elements per sample and training cards are
+// the paper's; test-set sizes are derived from the reported file-size
+// ratios where the paper does not state them directly.
 
 // NT3 returns the NT3 spec: RNA-seq profiles classified normal vs
-// tumor — 1,120 training samples × 60,483 float features
-// (597 MB train / 150 MB test).
+// tumor.
 func NT3() Spec {
 	return Spec{
 		Name: "NT3", Kind: Classification,
 		TrainSamples: 1120, TestSamples: 280,
 		Features: 60483, Classes: 2,
 		Latent: 600, NoiseStd: 1.0, SignalStrength: 2.0,
+		Card: Card{DefaultBatch: 20, DefaultEpochs: 384, LearningRate: 0.001, Optimizer: "sgd"},
 	}
 }
 
-// P1B1 returns the P1B1 spec: RNA-seq autoencoder — 2,700 training
-// samples × 60,484 features (771 MB train / 258 MB test).
+// P1B1 returns the P1B1 spec: RNA-seq autoencoder. Table 1 gives no
+// learning rate (adam's default).
 func P1B1() Spec {
 	return Spec{
 		Name: "P1B1", Kind: Autoencoder,
 		TrainSamples: 2700, TestSamples: 900,
 		Features: 60484,
 		Latent:   100, NoiseStd: 0.1,
+		Card: Card{DefaultBatch: 100, DefaultEpochs: 384, LearningRate: 0.001, Optimizer: "adam"},
 	}
 }
 
-// P1B2 returns the P1B2 spec: SNP-based cancer-type classification —
-// 2,700 training samples × 28,204 features (162 MB train /
-// 55 MB test).
+// P1B2 returns the P1B2 spec: SNP-based cancer-type classification.
 func P1B2() Spec {
 	return Spec{
 		Name: "P1B2", Kind: Classification,
 		TrainSamples: 2700, TestSamples: 900,
 		Features: 28204, Classes: 10,
 		Latent: 300, NoiseStd: 1.0, SignalStrength: 1.5,
+		Card: Card{DefaultBatch: 60, DefaultEpochs: 768, LearningRate: 0.001, Optimizer: "rmsprop"},
 	}
 }
 
-// P1B3 returns the P1B3 spec: drug-response growth regression —
-// 900,100 training samples × 1,000 features (318 MB train /
-// 103 MB test).
+// P1B3 returns the P1B3 spec: drug-response growth regression.
 func P1B3() Spec {
 	return Spec{
 		Name: "P1B3", Kind: Regression,
 		TrainSamples: 900100, TestSamples: 291500,
 		Features: 1000,
 		Latent:   50, NoiseStd: 0.05,
+		Card: Card{DefaultBatch: 100, DefaultEpochs: 1, LearningRate: 0.001, Optimizer: "sgd"},
 	}
 }
 
@@ -63,6 +62,7 @@ func P2B1() Spec {
 		TrainSamples: 3840, TestSamples: 960,
 		Features: 11340,
 		Latent:   80, NoiseStd: 0.08,
+		Card: Card{DefaultBatch: 32, DefaultEpochs: 100, LearningRate: 0.001, Optimizer: "adam"},
 	}
 }
 
@@ -76,21 +76,6 @@ func P3B1() Spec {
 		Features: 250, // sequence length
 		Classes:  4,
 		Vocab:    1000,
+		Card:     Card{DefaultBatch: 16, DefaultEpochs: 50, LearningRate: 0.01, Optimizer: "adam"},
 	}
-}
-
-// Specs returns all four Pilot1 dataset specs in paper order.
-func Specs() []Spec { return []Spec{NT3(), P1B1(), P1B2(), P1B3()} }
-
-// AllSpecs additionally includes the Pilot2/Pilot3-style specs.
-func AllSpecs() []Spec { return append(Specs(), P2B1(), P3B1()) }
-
-// ByName returns the spec with the given benchmark name.
-func ByName(name string) (Spec, bool) {
-	for _, s := range AllSpecs() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"candle/internal/data"
 )
 
 // StepCal calibrates one benchmark's per-batch-step compute time on
@@ -83,17 +85,13 @@ type PowerCal struct {
 }
 
 // BenchCal is everything the cost models need to know about one
-// benchmark, independent of machine.
+// benchmark, independent of machine: its Table 1 spec and training
+// card (name, samples, default batch and epochs, learning rate,
+// optimizer) from internal/data, and the calibration columns below.
 type BenchCal struct {
-	Name          string
-	TrainSamples  int
-	TestSamples   int
-	DefaultBatch  int
-	DefaultEpochs int
-	LearningRate  float64
-	Optimizer     string
-	TrainFileMB   int
-	TestFileMB    int
+	data.Spec
+	TrainFileMB int
+	TestFileMB  int
 	// ParamsM is the model size in millions of parameters (the
 	// allreduce payload).
 	ParamsM float64
@@ -175,40 +173,31 @@ type MachineCal struct {
 
 // Benchmarks returns the calibration for the four P1 benchmarks
 // (paper Table 1 plus fitted learning/memory curves).
-//
-// Deprecated for configuration choice: code picking a run
-// configuration should go through advisor.Recommend, which sweeps this
-// table through the simulator. Direct access to the hyperparameter
-// cards remains supported.
 func Benchmarks() []BenchCal {
 	return []BenchCal{
 		{
-			Name: "NT3", TrainSamples: 1120, TestSamples: 280,
-			DefaultBatch: 20, DefaultEpochs: 384, LearningRate: 0.001, Optimizer: "sgd",
+			Spec:        data.NT3(),
 			TrainFileMB: 597, TestFileMB: 150, ParamsM: 15,
 			AccMin: 0.5, AccMax: 0.998, AccS0: 180, AccTau: 60, BatchPenalty: 0.01,
 			MemFixedGB: 0.8, MemPerSampleGB: 0.31,
 			Classification: true,
 		},
 		{
-			Name: "P1B1", TrainSamples: 2700, TestSamples: 900,
-			DefaultBatch: 100, DefaultEpochs: 384, LearningRate: 0.001, Optimizer: "adam",
+			Spec:        data.P1B1(),
 			TrainFileMB: 771, TestFileMB: 258, ParamsM: 121,
 			AccMin: 0, AccMax: 0, AccS0: 0, AccTau: 1,
 			LossFloor: 0.015, LossAmp: 0.35, LossTau: 3000,
 			MemFixedGB: 1.2, MemPerSampleGB: 0.09,
 		},
 		{
-			Name: "P1B2", TrainSamples: 2700, TestSamples: 900,
-			DefaultBatch: 60, DefaultEpochs: 768, LearningRate: 0.001, Optimizer: "rmsprop",
+			Spec:        data.P1B2(),
 			TrainFileMB: 162, TestFileMB: 55, ParamsM: 30,
 			AccMin: 0.1, AccMax: 0.92, AccS0: 300, AccTau: 130, BatchPenalty: 0.012,
 			MemFixedGB: 0.6, MemPerSampleGB: 0.05,
 			Classification: true,
 		},
 		{
-			Name: "P1B3", TrainSamples: 900100, TestSamples: 291500,
-			DefaultBatch: 100, DefaultEpochs: 1, LearningRate: 0.001, Optimizer: "sgd",
+			Spec:        data.P1B3(),
 			TrainFileMB: 318, TestFileMB: 103, ParamsM: 1.6,
 			AccMin: 0.25, AccMax: 0.681, AccS0: 100, AccTau: 700, BatchPenalty: 0.005,
 			MemFixedGB: 0.5, MemPerSampleGB: 0.00082,
@@ -219,25 +208,15 @@ func Benchmarks() []BenchCal {
 
 // BenchByName returns one benchmark's calibration. Unknown names
 // yield an *UnknownBenchmarkError naming the valid choices.
-//
-// Deprecated for configuration choice: see Benchmarks.
 func BenchByName(name string) (BenchCal, error) {
+	var known []string
 	for _, b := range Benchmarks() {
 		if b.Name == name {
 			return b, nil
 		}
+		known = append(known, b.Name)
 	}
-	return BenchCal{}, &UnknownBenchmarkError{Name: name, Known: BenchNames()}
-}
-
-// BenchNames lists the benchmark names in paper order.
-func BenchNames() []string {
-	bs := Benchmarks()
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Name
-	}
-	return out
+	return BenchCal{}, &UnknownBenchmarkError{Name: name, Known: known}
 }
 
 // UnknownBenchmarkError reports a name with no calibration, along with

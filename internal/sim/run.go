@@ -86,10 +86,29 @@ type Config struct {
 	Batch int
 	// Loader is the data-loading engine.
 	Loader Loader
-	// Timeline, when non-nil, receives Horovod-style events for up to
-	// TimelineRanks ranks.
+	// Timeline, when non-nil, receives Horovod-style events for the
+	// first TimelineRanks ranks (0 means 8).
 	Timeline      *trace.Timeline
 	TimelineRanks int
+}
+
+// NewConfig resolves the machine, benchmark and loader names that a
+// command line or one of the paper's experiments gives into a Config
+// holding those three; the caller sets the rest.
+func NewConfig(bench, machine, loader string) (Config, error) {
+	m, err := hpc.ByName(machine)
+	if err != nil {
+		return Config{}, err
+	}
+	b, err := BenchByName(bench)
+	if err != nil {
+		return Config{}, err
+	}
+	ld, err := LoaderByName(loader)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{Machine: m, Bench: b, Loader: ld}, nil
 }
 
 // Result is everything a simulated run produces.
@@ -134,6 +153,12 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("sim: ranks must be positive, got %d", cfg.Ranks)
+	}
+	if cfg.Epochs < 0 {
+		return nil, fmt.Errorf("sim: epochs must not be negative (0 is the default), got %d", cfg.Epochs)
+	}
+	if cfg.Batch < 0 {
+		return nil, fmt.Errorf("sim: batch must not be negative (0 is the default), got %d", cfg.Batch)
 	}
 	if cfg.Ranks > cfg.Machine.MaxDevices() {
 		return nil, fmt.Errorf("sim: %d ranks exceed %s's %d devices",

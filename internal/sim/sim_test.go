@@ -73,8 +73,8 @@ func TestBenchByNameUnknownIsTypedAndActionable(t *testing.T) {
 			t.Fatalf("error %q does not list %s", err, want)
 		}
 	}
-	if got := BenchNames(); len(got) != 4 || got[0] != "NT3" {
-		t.Fatalf("BenchNames = %v", got)
+	if len(ue.Known) != 4 || ue.Known[0] != "NT3" {
+		t.Fatalf("Known = %v, want the four pilots in paper order", ue.Known)
 	}
 }
 
@@ -109,6 +109,32 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Machine: hpc.Summit(), Bench: nt3, Ranks: 1, Batch: 2000}); err == nil {
 		t.Fatal("batch larger than dataset accepted (should OOM or error)")
+	}
+	// Only 0 means "the default"; a negative count is a mistake.
+	if _, err := Run(Config{Machine: hpc.Summit(), Bench: nt3, Ranks: 6, Epochs: -5}); err == nil {
+		t.Fatal("negative epochs accepted")
+	}
+	if _, err := Run(Config{Machine: hpc.Summit(), Bench: nt3, Ranks: 6, Batch: -3}); err == nil {
+		t.Fatal("negative batch accepted")
+	}
+}
+
+func TestNewConfig(t *testing.T) {
+	cfg, err := NewConfig("P1B2", "theta", "chunked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Machine.Name != "Theta" || cfg.Bench.Name != "P1B2" || cfg.Loader != LoaderChunked {
+		t.Fatalf("NewConfig = %s/%s/%s", cfg.Machine.Name, cfg.Bench.Name, cfg.Loader)
+	}
+	for _, args := range [][3]string{
+		{"NT99", "summit", "naive"},
+		{"NT3", "frontier", "naive"},
+		{"NT3", "summit", "warp"},
+	} {
+		if _, err := NewConfig(args[0], args[1], args[2]); err == nil {
+			t.Errorf("NewConfig%v accepted", args)
+		}
 	}
 }
 
