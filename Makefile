@@ -38,7 +38,7 @@ loc:
 # small function keeps its symbol), list their symbols, and print, per
 # package, each function that none of them links. Anything printed
 # fails the target; tests do not count as callers.
-REACH_PKGS = nn candle data sim core
+REACH_PKGS = nn candle data sim core serve fleet
 
 reach:
 	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && mkdir $$d/bin && \

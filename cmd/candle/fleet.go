@@ -43,7 +43,6 @@ type fleetOpts struct {
 //
 //	candle fleet -bench NT3 -dir ./ckpt -replicas 3 -addr :8080
 //	candle fleet -bench NT3 -dir ./ckpt -replicas 2 -bootstrap
-//	candle fleet -bench NT3 -dir ./ckpt -slo-p99 25ms   # adaptive batching
 func fleetCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	o := fleetOpts{serveFlags: newServeFlags()}
 	o.serveFlags.register(fs)
@@ -62,6 +61,9 @@ func fleetCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 // HTTP listeners, spawn and supervise the replica processes, and drain
 // everything on SIGINT/SIGTERM.
 func (o *fleetOpts) run() error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	if o.Dir == "" {
 		return fmt.Errorf("-dir is required")
 	}

@@ -53,6 +53,9 @@ func serveCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 // run builds the server, listens on -addr, registers with the fleet if
 // asked, and serves until SIGINT/SIGTERM, then drains.
 func (o *serveOpts) run() error {
+	if err := o.check(); err != nil {
+		return err
+	}
 	if o.Dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
@@ -72,18 +75,17 @@ func (o *serveOpts) run() error {
 		}
 	}
 	s, err := serve.New(serve.Config{
-		Benchmark:    b.Spec.Name,
-		Dir:          o.Dir,
-		Factory:      func() *nn.Sequential { return b.Build(b.Spec) },
-		Loss:         b.Loss,
-		InputDim:     b.Spec.Features,
-		DType:        o.DType,
-		MaxBatch:     o.MaxBatch,
-		MaxWait:      o.MaxWait,
-		Replicas:     o.Replicas,
-		QueueDepth:   o.Queue,
-		ReloadEvery:  o.ReloadEvery,
-		SLOTargetP99: o.SLOP99,
+		Benchmark:   b.Spec.Name,
+		Dir:         o.Dir,
+		Factory:     func() *nn.Sequential { return b.Build(b.Spec) },
+		Loss:        b.Loss,
+		InputDim:    b.Spec.Features,
+		DType:       o.DType,
+		MaxBatch:    o.MaxBatch,
+		MaxWait:     o.maxWait(),
+		Replicas:    o.Replicas,
+		QueueDepth:  o.Queue,
+		ReloadEvery: o.ReloadEvery,
 	})
 	if err != nil {
 		return err

@@ -34,9 +34,10 @@ func startServe(t *testing.T, args []string) (*cliChild, string) {
 
 // TestServeLifecycle runs the subcommand's whole arc as a real
 // process: bootstrap training, HTTP serving, and SIGTERM-triggered
-// graceful drain with exit 0.
+// graceful drain with exit 0. It serves with -max-wait 0, which means
+// take only what is queued, not the 2ms default.
 func TestServeLifecycle(t *testing.T) {
-	c, base := startServe(t, serveArgs(t.TempDir()))
+	c, base := startServe(t, serveArgs(t.TempDir(), "-max-wait", "0"))
 
 	// A /predict round trip through the real HTTP stack.
 	features := make([]float64, 15) // NT3 features / 4000
@@ -64,15 +65,16 @@ func TestServeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health struct {
-		Status string `json:"status"`
-	}
+	health := struct {
+		Status         string  `json:"status"`
+		MaxWaitSeconds float64 `json:"max_wait_seconds"`
+	}{MaxWaitSeconds: -1}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if health.Status != "ok" {
-		t.Fatalf("healthz status %q, want ok", health.Status)
+	if health.Status != "ok" || health.MaxWaitSeconds != 0 {
+		t.Fatalf("healthz status %q, max_wait_seconds %v; want ok, 0", health.Status, health.MaxWaitSeconds)
 	}
 
 	c.g.Signal("cli", syscall.SIGTERM)
@@ -137,5 +139,26 @@ func TestRegisterWithFleet(t *testing.T) {
 	c.g.Signal("cli", syscall.SIGTERM)
 	if code := c.waitExit(t, 60*time.Second); code != 0 {
 		t.Fatalf("serve exited %d after SIGTERM, want 0\n%s", code, c.stderr.String())
+	}
+}
+
+// TestServeEngineFlags: an engine flag the server cannot honour exits
+// 2 naming it, from `serve` and from `fleet` before it spawns a
+// replica, rather than serving on a silently substituted default.
+func TestServeEngineFlags(t *testing.T) {
+	for _, sub := range []string{"serve", "fleet"} {
+		for _, tc := range [][]string{
+			{"-max-batch", "0"},
+			{"-max-batch", "-3"},
+			{"-queue", "0"},
+			{"-queue", "-1"},
+			{"-max-wait", "-1ms"},
+		} {
+			args := append([]string{sub, "-dir", t.TempDir(), "-addr", "127.0.0.1:0"}, tc...)
+			code, _, stderr := candleCLI(args...)
+			if code != 2 || !strings.Contains(stderr, tc[0]) {
+				t.Errorf("%s %s %s: exit %d, stderr %q; want 2 naming the flag", sub, tc[0], tc[1], code, stderr)
+			}
+		}
 	}
 }

@@ -95,7 +95,7 @@ type serveFlags struct {
 	benchFlags
 	Dir, DType      string
 	MaxBatch, Queue int
-	MaxWait, SLOP99 time.Duration
+	MaxWait         time.Duration
 }
 
 func newServeFlags() serveFlags {
@@ -110,9 +110,35 @@ func (s *serveFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&s.Dir, "dir", s.Dir, "checkpoint directory to load from and watch (required)")
 	fs.StringVar(&s.DType, "dtype", s.DType, "serving precision: f32, f64, or empty to follow the checkpoint's dtype")
 	fs.IntVar(&s.MaxBatch, "max-batch", s.MaxBatch, "max requests one engine coalesces into one forward (1 = unbatched)")
-	fs.DurationVar(&s.MaxWait, "max-wait", s.MaxWait, "max wait for stragglers after a batch's first request")
+	fs.DurationVar(&s.MaxWait, "max-wait", s.MaxWait, "max wait for stragglers after a batch's first request (0 = take only what is queued)")
 	fs.IntVar(&s.Queue, "queue", s.Queue, "admission queue depth of one engine; beyond it requests get 429")
-	fs.DurationVar(&s.SLOP99, "slo-p99", s.SLOP99, "p99 latency target; replaces fixed -max-batch/-max-wait with the adaptive SLO controller (they become its ceilings)")
+}
+
+// check refuses engine settings the flags cannot mean, so neither
+// serve nor fleet (before it spawns a replica) starts on a silently
+// substituted default. It exits 2, naming the flag.
+func (s *serveFlags) check() error {
+	var err error
+	switch {
+	case s.MaxBatch < 1:
+		err = fmt.Errorf("-max-batch must be >= 1, got %d", s.MaxBatch)
+	case s.Queue < 1:
+		err = fmt.Errorf("-queue must be >= 1, got %d", s.Queue)
+	case s.MaxWait < 0:
+		err = fmt.Errorf("-max-wait must be >= 0, got %v", s.MaxWait)
+	default:
+		return nil
+	}
+	return &exitError{2, err}
+}
+
+// maxWait is -max-wait in serve.Config's encoding, where 0 means the
+// default and a negative value means never wait.
+func (s *serveFlags) maxWait() time.Duration {
+	if s.MaxWait == 0 {
+		return -1
+	}
+	return s.MaxWait
 }
 
 // bootstrapFlags is the train-a-first-checkpoint pair `serve` and

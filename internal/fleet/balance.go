@@ -1,61 +1,22 @@
 package fleet
 
 import (
-	"hash/fnv"
 	"math/rand"
-	"sort"
-	"strconv"
 	"sync"
 )
 
-// Request balancing. Two policies share one immutable routeSet:
-//
-//   - pick2: power-of-two-choices least-loaded. Sampling two random
-//     replicas and taking the less loaded one is exponentially better
-//     than one random choice and within a whisker of true
-//     least-loaded, without a global priority queue — the classic
-//     balls-into-bins result, and the right trade on a hot path.
-//
-//   - sticky: consistent hashing for session-pinned clients. Each
-//     member contributes ringVnodes virtual nodes to a hashed ring;
-//     a session key routes to the first vnode clockwise. Membership
-//     churn remaps only the sessions whose arc moved (~1/N of them),
-//     where a modulo scheme would reshuffle everyone.
-//
-// Both read only the routeSet snapshot, so balancing never takes a
+// Request balancing: power-of-two-choices least-loaded. Sampling two
+// random replicas and taking the less loaded one is exponentially
+// better than one random choice and within a whisker of true
+// least-loaded, without a global priority queue — the classic
+// balls-into-bins result, and the right trade on a hot path. It reads
+// only the immutable routeSet snapshot, so balancing never takes a
 // lock shared with membership bookkeeping.
 
-// ringVnodes is how many ring positions each member occupies; 64
-// keeps the per-member load spread within a few percent.
-const ringVnodes = 64
-
-type ringEntry struct {
-	hash uint64
-	m    *member
-}
-
-// routeSet is one immutable generation of the routing view.
+// routeSet is one immutable generation of the routing view: the
+// route-eligible (healthy, generation-matching) members.
 type routeSet struct {
-	members []*member   // route-eligible (healthy, generation-matching)
-	ring    []ringEntry // sorted by hash
-}
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-func newRouteSet(members []*member) *routeSet {
-	rs := &routeSet{members: members}
-	rs.ring = make([]ringEntry, 0, len(members)*ringVnodes)
-	for _, m := range members {
-		for v := 0; v < ringVnodes; v++ {
-			rs.ring = append(rs.ring, ringEntry{hash: hash64(m.id + "#" + strconv.Itoa(v)), m: m})
-		}
-	}
-	sort.Slice(rs.ring, func(i, j int) bool { return rs.ring[i].hash < rs.ring[j].hash })
-	return rs
+	members []*member
 }
 
 // pickRng drives pick2's sampling; guarded because rand.Rand is not
@@ -99,22 +60,4 @@ func (rs *routeSet) pick2(tried map[*member]bool) *member {
 		return b
 	}
 	return a
-}
-
-// sticky maps a session key onto the ring; failover walks clockwise
-// past tried members so a session's retries stay deterministic. nil
-// when no eligible member remains.
-func (rs *routeSet) sticky(key string, tried map[*member]bool) *member {
-	if len(rs.ring) == 0 {
-		return nil
-	}
-	h := hash64(key)
-	start := sort.Search(len(rs.ring), func(i int) bool { return rs.ring[i].hash >= h })
-	for off := 0; off < len(rs.ring); off++ {
-		e := rs.ring[(start+off)%len(rs.ring)]
-		if !tried[e.m] {
-			return e.m
-		}
-	}
-	return nil
 }

@@ -9,15 +9,14 @@
 //
 // The router owns three loops:
 //
-//   - Balancing. Stateless requests go to the less loaded of two
-//     randomly chosen healthy replicas (power-of-two-choices, which
-//     tracks least-loaded within a constant factor at a fraction of
-//     the bookkeeping); session-sticky requests (X-Session header)
-//     ride a consistent-hash ring so one session keeps hitting one
-//     replica while membership churn only moves 1/N of sessions.
+//   - Balancing. A request goes to the less loaded of two randomly
+//     chosen healthy replicas (power-of-two-choices, which tracks
+//     least-loaded within a constant factor at a fraction of the
+//     bookkeeping). The router forwards the body unparsed; the
+//     replica's decoder is the one that validates it.
 //
 //   - Health. Every HealthEvery the router probes each replica's
-//     /healthz; DeadAfter consecutive failures drain the replica out
+//     /healthz; deadAfter consecutive failures drain the replica out
 //     of the route set (in-flight failovers retry elsewhere), and a
 //     recovered replica is routed around until its generation catches
 //     back up to the fleet's.
@@ -25,11 +24,12 @@
 //   - Reload. Checkpoint hot-reload is coordinated, not autonomous:
 //     the router peeks every replica's newest loadable generation,
 //     stages the fleet-wide minimum everywhere (two-phase), and
-//     commits the bump inside one pause window, so no client session
-//     ever observes two generations at once or a generation moving
-//     backwards. One replica with a corrupt newest checkpoint holds
-//     the whole fleet back — visibly, on the router's /healthz —
-//     rather than splitting the fleet across generations.
+//     commits the bump inside one pause window, so no client
+//     connection ever observes two generations at once or a
+//     generation moving backwards. One replica with a corrupt newest
+//     checkpoint holds the whole fleet back — visibly, on the
+//     router's /healthz — rather than splitting the fleet across
+//     generations.
 package fleet
 
 import (
@@ -50,49 +50,34 @@ type Config struct {
 	// HealthEvery is the per-replica health probe cadence
 	// (default 200ms).
 	HealthEvery time.Duration
-	// DeadAfter is how many consecutive failed probes drain a replica
-	// (default 2).
-	DeadAfter int
 	// ReloadEvery is the coordinated-reload poll cadence (default 2s;
 	// negative disables the loop — reloads then happen only via the
 	// POST /fleet/reload admin endpoint).
 	ReloadEvery time.Duration
-	// MaxAttempts bounds how many distinct replicas one request may
-	// try before the router gives up with 502 (default 3).
-	MaxAttempts int
 	// ProbeTimeout bounds one health probe or control call
 	// (default 2s).
 	ProbeTimeout time.Duration
-	// Client issues proxied and control requests (default: a
-	// keep-alive client with sane limits).
-	Client *http.Client
 }
 
 func (c *Config) applyDefaults() {
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 200 * time.Millisecond
 	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 2
-	}
 	if c.ReloadEvery == 0 {
 		c.ReloadEvery = 2 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     30 * time.Second,
-			},
-		}
-	}
 }
+
+const (
+	// deadAfter is how many consecutive failed probes drain a replica.
+	deadAfter = 2
+	// maxAttempts bounds how many distinct replicas one request may
+	// try before the router gives up with 502.
+	maxAttempts = 3
+)
 
 // gen packs a checkpoint generation (epoch, step) into one int64 so
 // members and the fleet can publish theirs atomically. Step is
@@ -127,6 +112,9 @@ func (m *member) url(path string) string { return "http://" + m.addr + path }
 type Router struct {
 	cfg     Config
 	metrics *Metrics
+	// client issues proxied and control requests: keep-alive, with
+	// enough idle connections per replica for the proxy's fan-in.
+	client *http.Client
 
 	// mu guards membership and every input of route eligibility (a
 	// member's health and generation, the fleet generation). Whoever
@@ -142,7 +130,7 @@ type Router struct {
 	fleetGen atomic.Int64
 
 	// route is the immutable routing view (healthy, generation-matching
-	// members plus their hash ring), rebuilt under mu on any
+	// members), rebuilt under mu on any
 	// membership, health, or generation change.
 	route atomic.Pointer[routeSet]
 
@@ -177,6 +165,10 @@ func NewRouter(cfg Config) *Router {
 	r := &Router{
 		cfg:     cfg,
 		metrics: newMetrics(),
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     30 * time.Second,
+		}},
 		members: make(map[string]*member),
 		stopc:   make(chan struct{}),
 	}
@@ -270,7 +262,7 @@ func (r *Router) rebuildRouteLocked() {
 			eligible = append(eligible, m)
 		}
 	}
-	r.route.Store(newRouteSet(eligible))
+	r.route.Store(&routeSet{members: eligible})
 }
 
 // Shutdown stops the loops and listeners. Proxied requests in flight

@@ -30,49 +30,14 @@ func readLine(t *testing.T, c net.Conn) map[string]any {
 	return m
 }
 
-// The router's three input surfaces — proxied request bodies, replica
-// health replies, and control-plane registrations — each get the same
-// contract: any byte string yields either a validated value or a
-// typed error, and none of them may panic. Run longer with e.g.:
+// The router's two decoded input surfaces — replica health replies
+// and control-plane registrations — each get the same contract: any
+// byte string yields either a validated value or a typed error, and
+// neither may panic. (Proxied /predict bodies are forwarded unparsed;
+// serve.FuzzDecodePredict covers the decoder that reads them.) Run
+// longer with e.g.:
 //
-//	go test -fuzz FuzzDecodeRoute ./internal/fleet
-
-func FuzzDecodeRoute(f *testing.F) {
-	seeds := []string{
-		``,
-		`{}`,
-		`{"features":[1,2,3]}`,
-		`{"features":[1],"session":"abc"}`,
-		`{"features":[1],"priority":"high"}`,
-		`{"features":[1],"priority":"urgent"}`,
-		`{"session":42}`,
-		`{"features":"nope"}`,
-		`[1,2,3]`,
-		`{"features`,
-		"\x00\xff\xfe",
-		`{"features":[1]}{"features":[2]}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		hints, rerr := decodeRoute(data) // must not panic
-		if rerr != nil {
-			if rerr.Status < 400 || rerr.Status > 499 {
-				t.Fatalf("route error status %d outside 4xx: %+v", rerr.Status, rerr)
-			}
-			if rerr.Code == "" || rerr.Msg == "" {
-				t.Fatalf("route error missing code/message: %+v", rerr)
-			}
-			return
-		}
-		switch hints.Priority {
-		case "", "low", "normal", "high":
-		default:
-			t.Fatalf("accepted priority %q", hints.Priority)
-		}
-	})
-}
+//	go test -fuzz FuzzDecodeHealth ./internal/fleet
 
 func FuzzDecodeHealth(f *testing.F) {
 	seeds := []string{

@@ -11,7 +11,7 @@ import (
 
 // Health probing and drain-around. The router trusts nothing it
 // cannot observe: every HealthEvery it probes each member's /healthz,
-// and DeadAfter consecutive failures drain the member from the route
+// and deadAfter consecutive failures drain the member from the route
 // set — in-flight requests fail over, new ones never see it. A
 // replica that answers again is readmitted, but only once its
 // generation matches the fleet's (a restarted replica may come back
@@ -82,7 +82,7 @@ func (r *Router) probe(m *member) {
 	healthy, gen := m.healthy, m.gen
 	switch {
 	case err != nil:
-		if int(m.fails.Add(1)) >= r.cfg.DeadAfter {
+		if int(m.fails.Add(1)) >= deadAfter {
 			healthy = false
 		}
 	case h.Status == "draining":
@@ -129,7 +129,7 @@ func (r *Router) fetchHealth(m *member) (replicaHealth, error) {
 	if err != nil {
 		return replicaHealth{}, err
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return replicaHealth{}, err
 	}

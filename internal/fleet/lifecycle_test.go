@@ -18,8 +18,8 @@ import (
 // Replica lifecycle edges, against real serve.Servers (real weights,
 // real micro-batcher, real staged-reload endpoints): joining under
 // load, dying abruptly mid-load, corrupt checkpoints, and the pinned
-// guarantee that no client session ever observes the fleet's
-// generation mixed or moving backwards.
+// guarantee that no client ever observes the fleet's generation mixed
+// or moving backwards.
 
 const (
 	lcBench = "T"
@@ -110,6 +110,34 @@ func registerReal(t *testing.T, ctlAddr string, rr *realReplica) {
 
 const lcBody = `{"features":[0.1,0.2,0.3,0.4,0.5,0.6]}`
 
+// TestRouterRejectsBadRequests: the router forwards /predict bodies
+// unparsed, so the replica's strict decoder is the one validator, and
+// its typed 400s pass through the router unchanged. A routing hint in
+// the body (priority, session) is an unknown field to that decoder.
+func TestRouterRejectsBadRequests(t *testing.T) {
+	dir := t.TempDir()
+	lcWriteCkpt(t, dir, 1, 42)
+	_, ctlAddr, baseURL := newTestRouter(t, testRouterConfig())
+	registerReal(t, ctlAddr, startRealReplica(t, "a", dir))
+
+	for _, tc := range []struct{ name, body, code string }{
+		{"empty", "", "empty_body"},
+		{"garbage", "{not json", "bad_json"},
+		{"priority_field", `{"features":[0.1,0.2,0.3,0.4,0.5,0.6],"priority":"high"}`, "bad_json"},
+		{"session_field", `{"features":[0.1,0.2,0.3,0.4,0.5,0.6],"session":"abc"}`, "bad_json"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, decoded := postPredict(t, baseURL, tc.body)
+			if resp.StatusCode != http.StatusBadRequest || decoded["code"] != tc.code {
+				t.Fatalf("%d %v, want 400 %q", resp.StatusCode, decoded, tc.code)
+			}
+			if resp.Header.Get("X-Served-By") != "a" {
+				t.Fatal("rejection did not come from the replica")
+			}
+		})
+	}
+}
+
 func TestLifecycleCoordinatedReload(t *testing.T) {
 	dir := t.TempDir()
 	lcWriteCkpt(t, dir, 1, 42)
@@ -117,7 +145,7 @@ func TestLifecycleCoordinatedReload(t *testing.T) {
 	registerReal(t, ctlAddr, startRealReplica(t, "a", dir))
 	registerReal(t, ctlAddr, startRealReplica(t, "b", dir))
 
-	resp, decoded := postPredict(t, baseURL, lcBody, nil)
+	resp, decoded := postPredict(t, baseURL, lcBody)
 	if resp.StatusCode != http.StatusOK || decoded["epoch"].(float64) != 1 {
 		t.Fatalf("pre-reload: %d %v", resp.StatusCode, decoded)
 	}
@@ -128,7 +156,7 @@ func TestLifecycleCoordinatedReload(t *testing.T) {
 		t.Fatalf("Reload = (%d, %d, %v), want (2, 200, nil)", epoch, step, err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, decoded = postPredict(t, baseURL, lcBody, nil); decoded["epoch"].(float64) != 2 {
+		if _, decoded = postPredict(t, baseURL, lcBody); decoded["epoch"].(float64) != 2 {
 			t.Fatalf("post-reload response on old generation: %v", decoded)
 		}
 	}
@@ -161,7 +189,7 @@ func TestLifecycleCorruptNewestHoldsFleet(t *testing.T) {
 	}
 	// Every response still comes from epoch 1 — no half-upgraded fleet.
 	for i := 0; i < 10; i++ {
-		if _, decoded := postPredict(t, baseURL, lcBody, nil); decoded["epoch"].(float64) != 1 {
+		if _, decoded := postPredict(t, baseURL, lcBody); decoded["epoch"].(float64) != 1 {
 			t.Fatalf("mixed generation served during held-back round: %v", decoded)
 		}
 	}
@@ -190,7 +218,7 @@ func (res *loadResult) halt() {
 	res.wg.Wait()
 }
 
-func runLoadLoop(t *testing.T, baseURL string, clients int, sticky bool) *loadResult {
+func runLoadLoop(t *testing.T, baseURL string, clients int) *loadResult {
 	t.Helper()
 	res := &loadResult{
 		stop:     make(chan struct{}),
@@ -202,17 +230,13 @@ func runLoadLoop(t *testing.T, baseURL string, clients int, sticky bool) *loadRe
 		res.wg.Add(1)
 		go func(c int) {
 			defer res.wg.Done()
-			hdr := map[string]string{}
-			if sticky {
-				hdr["X-Session"] = "client-" + string(rune('a'+c))
-			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, decoded := postPredict(t, baseURL, lcBody, hdr)
+				resp, decoded := postPredict(t, baseURL, lcBody)
 				res.mu.Lock()
 				res.statuses[resp.StatusCode]++
 				if e, ok := decoded["epoch"].(float64); ok {
@@ -244,7 +268,7 @@ func TestJoinMidLoad(t *testing.T) {
 	_, ctlAddr, baseURL := newTestRouter(t, testRouterConfig())
 	registerReal(t, ctlAddr, startRealReplica(t, "a", dir))
 
-	res := runLoadLoop(t, baseURL, 4, false)
+	res := runLoadLoop(t, baseURL, 4)
 	time.Sleep(50 * time.Millisecond)
 
 	late := startRealReplica(t, "b", dir)
@@ -269,7 +293,7 @@ func TestKillMidLoad(t *testing.T) {
 	victim := startRealReplica(t, "b", dir)
 	registerReal(t, ctlAddr, victim)
 
-	res := runLoadLoop(t, baseURL, 4, false)
+	res := runLoadLoop(t, baseURL, 4)
 	time.Sleep(50 * time.Millisecond)
 
 	// Abrupt death: open connections reset, port goes dark.
@@ -299,7 +323,10 @@ func TestKillMidLoad(t *testing.T) {
 // TestReloadAtomicUnderLoad pins the fleet's central guarantee: with
 // requests in flight through two reload rounds, every client sees its
 // sequence of serving generations monotonically non-decreasing —
-// never mixed, never backwards.
+// never mixed, never backwards. The clients carry no routing hint:
+// each request lands on whichever replica pick2 chooses, so what holds
+// the order is the pause lock every proxied request holds across a
+// commit wave, not replica affinity.
 func TestReloadAtomicUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	lcWriteCkpt(t, dir, 1, 42)
@@ -307,7 +334,7 @@ func TestReloadAtomicUnderLoad(t *testing.T) {
 	registerReal(t, ctlAddr, startRealReplica(t, "a", dir))
 	registerReal(t, ctlAddr, startRealReplica(t, "b", dir))
 
-	res := runLoadLoop(t, baseURL, 4, true) // sticky: one session per client
+	res := runLoadLoop(t, baseURL, 4)
 
 	for epoch := 2; epoch <= 3; epoch++ {
 		time.Sleep(30 * time.Millisecond)

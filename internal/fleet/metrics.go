@@ -23,7 +23,7 @@ type Metrics struct {
 	reloadFailures atomic.Uint64
 
 	// latency is router-observed end-to-end seconds (all failover
-	// attempts included), windowable via trace.Window.
+	// attempts included).
 	latency *trace.Histogram
 }
 

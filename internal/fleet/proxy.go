@@ -9,8 +9,6 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"candle/internal/serve"
 )
 
 // The router's HTTP face: the /predict proxy with failover, the
@@ -31,44 +29,10 @@ type routeError struct {
 	Msg    string `json:"error"`
 }
 
-// routeHints is what the router reads out of a /predict body: enough
-// to route (sticky session) and to shed (priority class) — feature
-// validation stays the replica's job.
-type routeHints struct {
-	Session  string `json:"session"`
-	Priority string `json:"priority"`
-}
-
-// decodeRoute extracts routing hints from a /predict body without
-// validating the payload the replicas own. It is total (no input
-// panics it — the fuzz test holds it to that) and rejects only what
-// can never be served: an empty body, bytes that are not a JSON
-// object, a priority no replica would accept.
-func decodeRoute(body []byte) (routeHints, *routeError) {
-	var h struct {
-		Session  string          `json:"session"`
-		Priority string          `json:"priority"`
-		Features json.RawMessage `json:"features"` // tolerated, not validated
-	}
-	if len(bytes.TrimSpace(body)) == 0 {
-		return routeHints{}, &routeError{Status: http.StatusBadRequest,
-			Code: "empty_body", Msg: "request body is empty"}
-	}
-	if err := json.Unmarshal(body, &h); err != nil {
-		return routeHints{}, &routeError{Status: http.StatusBadRequest,
-			Code: "bad_json", Msg: fmt.Sprintf("decoding request: %v", err)}
-	}
-	if _, err := serve.ParsePriority(h.Priority); err != nil {
-		return routeHints{}, &routeError{Status: http.StatusBadRequest,
-			Code: "bad_priority", Msg: err.Error()}
-	}
-	return routeHints{Session: h.Session, Priority: h.Priority}, nil
-}
-
 // Handler returns the router's HTTP handler:
 //
-//	POST /predict       proxied to a replica (sticky via X-Session or
-//	                    body "session"; least-loaded pick-2 otherwise)
+//	POST /predict       body forwarded unparsed to the less loaded of
+//	                    two sampled replicas
 //	GET  /healthz       fleet generation + per-replica state
 //	GET  /metrics       router counters and latency histogram
 //	POST /fleet/reload  run one coordinated reload round now
@@ -100,15 +64,6 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 			Code: "bad_body", Msg: err.Error()})
 		return
 	}
-	hints, rerr := decodeRoute(body)
-	if rerr != nil {
-		writeRouteErr(w, rerr)
-		return
-	}
-	session := req.Header.Get("X-Session")
-	if session == "" {
-		session = hints.Session
-	}
 
 	start := time.Now()
 	r.metrics.requests.Add(1)
@@ -118,16 +73,10 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	r.pause.RLock()
 	defer r.pause.RUnlock()
 
-	tried := make(map[*member]bool, r.cfg.MaxAttempts)
+	tried := make(map[*member]bool, maxAttempts)
 	sawMember := false
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
-		rs := r.route.Load()
-		var m *member
-		if session != "" {
-			m = rs.sticky(session, tried)
-		} else {
-			m = rs.pick2(tried)
-		}
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		m := r.route.Load().pick2(tried)
 		if m == nil {
 			break
 		}
@@ -185,10 +134,7 @@ func (r *Router) forward(m *member, orig *http.Request, body []byte) (*http.Resp
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if pri := orig.Header.Get("X-Priority"); pri != "" {
-		req.Header.Set("X-Priority", pri)
-	}
-	return r.cfg.Client.Do(req)
+	return r.client.Do(req)
 }
 
 // relayResponse copies a replica reply to the client, stamping which

@@ -205,7 +205,7 @@ func (r *Router) controlJSON(m *member, method, path string, body []byte, out an
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -42,9 +42,7 @@ func (s *Server) batchLoop() {
 // waiting at most MaxWait after the first arrival. A shutdown flush
 // (drainc) takes what is queued and stops waiting.
 func (s *Server) collect(first *Request) []*Request {
-	// The effective knobs are read once per batch: the SLO controller
-	// may move them between batches, never within one.
-	maxBatch, maxWait := s.BatchKnobs()
+	maxBatch, maxWait := s.cfg.MaxBatch, s.cfg.MaxWait
 	batch := make([]*Request, 1, maxBatch)
 	batch[0] = first
 	if maxBatch <= 1 {
@@ -126,9 +124,6 @@ func (s *Server) runBatch(rep *replica, batch []*Request) {
 	}
 	if s.testHookForward != nil {
 		s.testHookForward()
-	}
-	if s.cfg.ServiceDelay > 0 {
-		time.Sleep(s.cfg.ServiceDelay)
 	}
 	fwdStart := time.Now()
 	out, err := safePredict(rep, in)

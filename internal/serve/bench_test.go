@@ -9,6 +9,7 @@ import (
 	"candle/internal/candle"
 	"candle/internal/checkpoint"
 	"candle/internal/nn"
+	"candle/internal/trace"
 )
 
 // The serving benchmark asks the paper's fusion-buffer question of the
@@ -97,9 +98,10 @@ type serveRun struct {
 // benchRounds independent windows and reports the best, which rejects
 // the occasional noisy-neighbor stall this shared container suffers
 // (both modes get the same treatment). Latency and batch-size stats
-// come from the server's own histograms, windowed by diffing
-// snapshots around each run (quantiles are bucket upper-bound
-// estimates, the usual histogram convention).
+// are taken per round: latency from admission to the generator's
+// receipt into a fresh histogram (quantiles are bucket upper-bound
+// estimates, the usual histogram convention), batch size from the
+// server's histogram's count and sum around the round.
 func measureServeRun(tb testing.TB, maxBatch, clients, total int) serveRun {
 	tb.Helper()
 	return measureServeRunOn(tb, benchServer(tb, maxBatch), clients, total)
@@ -126,6 +128,7 @@ func measureServeRunOn(tb testing.TB, s *Server, clients, total int) serveRun {
 		reqs[i] = &Request{Features: f}
 	}
 	done := make(chan *Request, clients)
+	var lat *trace.Histogram // this round's end-to-end latencies
 	run := func(n int) {
 		submitted := 0
 		for ; submitted < clients && submitted < n; submitted++ {
@@ -137,6 +140,9 @@ func measureServeRunOn(tb testing.TB, s *Server, clients, total int) serveRun {
 			req := <-done
 			if req.Err != nil {
 				tb.Fatal(req.Err)
+			}
+			if lat != nil {
+				lat.Observe(time.Since(req.enqueued).Seconds())
 			}
 			if submitted < n {
 				if err := s.Submit(req, done); err != nil {
@@ -150,19 +156,17 @@ func measureServeRunOn(tb testing.TB, s *Server, clients, total int) serveRun {
 	run(total / 10) // warmup: buffers allocated, scheduler settled
 	var best serveRun
 	for round := 0; round < benchRounds; round++ {
-		preLat := s.metrics.latency.Snapshot()
-		preBatch := s.metrics.batchSize.Snapshot()
+		lat = trace.NewHistogram(trace.ExponentialBounds(20e-6, 1.5, 28)...)
+		preCount, preSum := s.metrics.batchSize.Count(), s.metrics.batchSize.Sum()
 		start := time.Now()
 		run(total)
 		wall := time.Since(start).Seconds()
-		lat := s.metrics.latency.Snapshot().Delta(preLat)
-		batch := s.metrics.batchSize.Snapshot().Delta(preBatch)
 		r := serveRun{
 			throughput: float64(total) / wall,
 			p50:        lat.Quantile(0.50),
 			p99:        lat.Quantile(0.99),
 			mean:       lat.Mean(),
-			meanBatch:  batch.Mean(),
+			meanBatch:  (s.metrics.batchSize.Sum() - preSum) / float64(s.metrics.batchSize.Count()-preCount),
 		}
 		if r.throughput > best.throughput {
 			best = r

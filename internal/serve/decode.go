@@ -35,45 +35,37 @@ func unprocessable(code, msg string, args ...any) *apiError {
 // predictRequest is the wire shape of POST /predict.
 type predictRequest struct {
 	Features []float64 `json:"features"`
-	// Priority is the optional load-shedding class: "high", "normal"
-	// (default), or "low". The X-Priority header, when present,
-	// overrides it.
-	Priority string `json:"priority,omitempty"`
 }
 
 // decodePredict parses and validates a /predict body against the
 // model's input width. It never panics; every failure is a 4xx
 // apiError.
-func decodePredict(body []byte, want int) ([]float64, Priority, *apiError) {
+func decodePredict(body []byte, want int) ([]float64, *apiError) {
 	if len(bytes.TrimSpace(body)) == 0 {
-		return nil, 0, badRequest("empty_body", "request body is empty; send {\"features\": [...]}")
+		return nil, badRequest("empty_body", "request body is empty; send {\"features\": [...]}")
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req predictRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, 0, badRequest("bad_json", "decoding request: %v", err)
+		return nil, badRequest("bad_json", "decoding request: %v", err)
 	}
 	// Reject trailing non-space garbage ({"features":[1]}{"x":2}).
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, 0, badRequest("bad_json", "trailing data after JSON object")
+		return nil, badRequest("bad_json", "trailing data after JSON object")
 	}
 	if req.Features == nil {
-		return nil, 0, badRequest("missing_features", "request has no \"features\" array")
+		return nil, badRequest("missing_features", "request has no \"features\" array")
 	}
 	if len(req.Features) != want {
-		return nil, 0, unprocessable("feature_count",
+		return nil, unprocessable("feature_count",
 			"got %d features, model wants %d", len(req.Features), want)
 	}
 	for i, v := range req.Features {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, 0, unprocessable("nonfinite_feature",
+			return nil, unprocessable("nonfinite_feature",
 				"feature %d is not finite", i)
 		}
 	}
-	pri, err := ParsePriority(req.Priority)
-	if err != nil {
-		return nil, 0, badRequest("bad_priority", "%v", err)
-	}
-	return req.Features, pri, nil
+	return req.Features, nil
 }

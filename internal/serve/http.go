@@ -71,19 +71,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, badRequest("bad_body", "reading request body: %v", err))
 		return
 	}
-	features, pri, aerr := decodePredict(body, s.cfg.InputDim)
+	features, aerr := decodePredict(body, s.cfg.InputDim)
 	if aerr != nil {
 		s.writeErr(w, aerr)
 		return
 	}
-	if h := r.Header.Get("X-Priority"); h != "" {
-		pri, err = ParsePriority(h)
-		if err != nil {
-			s.writeErr(w, badRequest("bad_priority", "X-Priority header: %v", err))
-			return
-		}
-	}
-	pred, info, err := s.PredictPriority(features, pri)
+	pred, info, err := s.Predict(features)
 	if err != nil {
 		s.writeErr(w, mapPredictErr(err))
 		return
@@ -135,7 +128,6 @@ type healthzResponse struct {
 	Replicas        int     `json:"replicas"`
 	MaxBatch        int     `json:"max_batch"`
 	MaxWaitSeconds  float64 `json:"max_wait_seconds"`
-	SLOTargetP99    float64 `json:"slo_target_p99_seconds,omitempty"`
 	Pid             int     `json:"pid"`
 	QueueDepth      int     `json:"queue_depth"`
 	Reloads         int     `json:"reloads"`
@@ -145,10 +137,6 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// MaxBatch/MaxWaitSeconds report the knobs currently in effect,
-	// which the SLO controller may have moved below the configured
-	// ceilings.
-	mb, mw := s.BatchKnobs()
 	s.health.mu.Lock()
 	resp := healthzResponse{
 		Status:          "ok",
@@ -157,9 +145,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:           s.health.epoch,
 		Step:            s.health.step,
 		Replicas:        s.cfg.Replicas,
-		MaxBatch:        mb,
-		MaxWaitSeconds:  mw.Seconds(),
-		SLOTargetP99:    s.cfg.SLOTargetP99.Seconds(),
+		MaxBatch:        s.cfg.MaxBatch,
+		MaxWaitSeconds:  s.cfg.MaxWait.Seconds(),
 		Pid:             os.Getpid(),
 		QueueDepth:      len(s.queue),
 		Reloads:         s.health.reloads,

@@ -12,17 +12,10 @@ import (
 // per request.
 type Metrics struct {
 	requests       atomic.Uint64 // admitted
-	rejected       atomic.Uint64 // bounced with 429 (all classes)
+	rejected       atomic.Uint64 // bounced with 429
 	errored        atomic.Uint64 // admitted but failed
 	reloads        atomic.Uint64
 	reloadFailures atomic.Uint64
-
-	// Per-priority-class shed counts (each also increments rejected).
-	shedHigh   atomic.Uint64
-	shedNormal atomic.Uint64
-	shedLow    atomic.Uint64
-	// sloAdjusts counts SLO-controller knob moves.
-	sloAdjusts atomic.Uint64
 
 	// latency is end-to-end seconds from admission to response.
 	latency *trace.Histogram
@@ -52,24 +45,6 @@ func (m *Metrics) Requests() uint64 { return m.requests.Load() }
 // control.
 func (m *Metrics) Rejected() uint64 { return m.rejected.Load() }
 
-// noteShed records a request bounced by admission control, keeping
-// the per-class counters alongside the total.
-func (m *Metrics) noteShed(p Priority) {
-	m.rejected.Add(1)
-	switch p {
-	case PriorityHigh:
-		m.shedHigh.Add(1)
-	case PriorityLow:
-		m.shedLow.Add(1)
-	default:
-		m.shedNormal.Add(1)
-	}
-}
-
-// SLOAdjusts returns how many times the SLO controller moved the
-// batching knobs.
-func (m *Metrics) SLOAdjusts() uint64 { return m.sloAdjusts.Load() }
-
 // Latency returns the end-to-end latency histogram (seconds).
 func (m *Metrics) Latency() *trace.Histogram { return m.latency }
 
@@ -90,13 +65,6 @@ type metricsSnapshot struct {
 	QueueDepth     int    `json:"queue_depth"`
 	QueueCap       int    `json:"queue_cap"`
 
-	ShedHigh   uint64 `json:"shed_high"`
-	ShedNormal uint64 `json:"shed_normal"`
-	ShedLow    uint64 `json:"shed_low"`
-
-	// The batching knobs currently in effect (equal to the configured
-	// ceilings unless the SLO controller has moved them).
-	SLOAdjusts     uint64  `json:"slo_adjusts"`
 	MaxBatch       int     `json:"max_batch"`
 	MaxWaitSeconds float64 `json:"max_wait_seconds"`
 
@@ -125,7 +93,6 @@ func histJSON(h *trace.Histogram) histogramJSON {
 
 func (s *Server) metricsSnapshot() metricsSnapshot {
 	m := s.metrics
-	mb, mw := s.BatchKnobs()
 	return metricsSnapshot{
 		Requests:       m.requests.Load(),
 		Rejected:       m.rejected.Load(),
@@ -134,12 +101,8 @@ func (s *Server) metricsSnapshot() metricsSnapshot {
 		ReloadFailures: m.reloadFailures.Load(),
 		QueueDepth:     len(s.queue),
 		QueueCap:       cap(s.queue),
-		ShedHigh:       m.shedHigh.Load(),
-		ShedNormal:     m.shedNormal.Load(),
-		ShedLow:        m.shedLow.Load(),
-		SLOAdjusts:     m.sloAdjusts.Load(),
-		MaxBatch:       mb,
-		MaxWaitSeconds: mw.Seconds(),
+		MaxBatch:       s.cfg.MaxBatch,
+		MaxWaitSeconds: s.cfg.MaxWait.Seconds(),
 		LatencySeconds: histJSON(m.latency),
 		BatchSize:      histJSON(m.batchSize),
 		Phases:         m.phases.Stats(),

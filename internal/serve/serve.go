@@ -65,31 +65,12 @@ type Config struct {
 
 	// MaxBatch caps how many requests one Forward coalesces
 	// (default 32). 1 disables batching — the unbatched baseline.
-	// When SLOTargetP99 is set this is the ceiling the controller
-	// adapts under.
 	MaxBatch int
 	// MaxWait bounds how long a non-full batch waits for stragglers
-	// after its first request arrives (default 2ms; 0 = never wait,
-	// take only what is already queued). When SLOTargetP99 is set this
-	// is the ceiling the controller adapts under.
+	// after its first request arrives. 0 means the default (2ms); a
+	// negative value means never wait: take only what is already
+	// queued.
 	MaxWait time.Duration
-	// SLOTargetP99, when positive, replaces fixed batching knobs with
-	// an SLO controller: every SLOEvery the server computes the p99 of
-	// the latencies observed in that window and adapts the effective
-	// MaxBatch/MaxWait (within [1, MaxBatch] and [0, MaxWait]) to keep
-	// the p99 under the target while preserving as much coalescing as
-	// the target allows.
-	SLOTargetP99 time.Duration
-	// SLOEvery is the controller's adjustment cadence (default 250ms).
-	SLOEvery time.Duration
-	// ServiceDelay adds a fixed sleep to every batch forward. It
-	// exists for benchmarks and tests that emulate a fleet of
-	// dedicated replica machines on one development host: the delay
-	// stands in for the per-batch service time a real replica's
-	// hardware would impose, so per-replica capacity is bounded even
-	// where host cores are not available to bound it. Zero (always, in
-	// production) disables it.
-	ServiceDelay time.Duration
 	// Replicas is the number of independent model instances serving
 	// batches concurrently (default 2).
 	Replicas int
@@ -137,48 +118,7 @@ func (c *Config) applyDefaults() error {
 	if c.ReloadEvery == 0 {
 		c.ReloadEvery = 2 * time.Second
 	}
-	if c.SLOEvery <= 0 {
-		c.SLOEvery = 250 * time.Millisecond
-	}
 	return nil
-}
-
-// Priority is a request's load-shedding class. Admission control sheds
-// in tiers instead of treating the queue as one cliff: low-priority
-// requests bounce once the queue is half full, normal-priority ones
-// are refused past 7/8 (leaving the last eighth as reserved headroom),
-// and high-priority requests are accepted until the queue is
-// physically full. The zero value is PriorityNormal.
-type Priority int8
-
-const (
-	PriorityNormal Priority = iota
-	PriorityHigh
-	PriorityLow
-)
-
-// ParsePriority maps the wire names ("high", "normal", "low"; "" means
-// normal) to a Priority.
-func ParsePriority(s string) (Priority, error) {
-	switch s {
-	case "", "normal":
-		return PriorityNormal, nil
-	case "high":
-		return PriorityHigh, nil
-	case "low":
-		return PriorityLow, nil
-	}
-	return PriorityNormal, fmt.Errorf("serve: unknown priority %q (want high, normal, or low)", s)
-}
-
-func (p Priority) String() string {
-	switch p {
-	case PriorityHigh:
-		return "high"
-	case PriorityLow:
-		return "low"
-	}
-	return "normal"
 }
 
 // Typed serving errors; the HTTP layer maps them to status codes.
@@ -199,11 +139,6 @@ type Server struct {
 	rs      atomic.Pointer[replicaSet]
 	metrics *Metrics
 
-	// Effective batching knobs. Without an SLO target they stay at
-	// cfg.MaxBatch/cfg.MaxWait; with one, the controller moves them.
-	curMaxBatch  atomic.Int64
-	curMaxWaitNs atomic.Int64
-
 	// completed counts delivered responses; with its timestamped
 	// samples in drain it prices Retry-After.
 	completed atomic.Uint64
@@ -217,7 +152,7 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup // requests between admission and delivery
 	batchWG  sync.WaitGroup // dispatched batch goroutines
-	loopWG   sync.WaitGroup // batcher + reload + SLO loops
+	loopWG   sync.WaitGroup // batcher + reload loops
 	stopc    chan struct{}  // stops the loops after drain
 	drainc   chan struct{}  // closed at Shutdown start: flush partial batches now
 
@@ -247,9 +182,6 @@ type Server struct {
 type Request struct {
 	// Features is the input row (read-only to the server).
 	Features []float64
-	// Priority is the request's load-shedding class (zero value:
-	// PriorityNormal).
-	Priority Priority
 	// Pred is the model output, filled by the server (storage reused
 	// across submissions).
 	Pred []float64
@@ -294,8 +226,6 @@ func New(cfg Config) (*Server, error) {
 		stopc:   make(chan struct{}),
 		drainc:  make(chan struct{}),
 	}
-	s.curMaxBatch.Store(int64(cfg.MaxBatch))
-	s.curMaxWaitNs.Store(int64(cfg.MaxWait))
 	snap, skips, err := checkpoint.LatestWithSkips(cfg.Dir, cfg.Benchmark)
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading initial checkpoint: %w", err)
@@ -315,10 +245,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReloadEvery > 0 {
 		s.loopWG.Add(1)
 		go s.reloadLoop()
-	}
-	if cfg.SLOTargetP99 > 0 {
-		s.loopWG.Add(1)
-		go s.sloLoop()
 	}
 	return s, nil
 }
@@ -399,16 +325,6 @@ func (s *Server) Submit(req *Request, done chan *Request) error {
 		s.inflight.Done()
 		return ErrDraining
 	}
-	// Tiered shedding: below the hard cap each priority class has its
-	// own admission ceiling, so under pressure low-priority traffic is
-	// turned away while headroom remains for the classes above it. The
-	// depth read is approximate (racy against the batcher), which only
-	// blurs the tier boundary by a request or two.
-	if limit := s.shedLimit(req.Priority); len(s.queue) >= limit {
-		s.inflight.Done()
-		s.metrics.noteShed(req.Priority)
-		return ErrOverloaded
-	}
 	req.done, req.enqueued = done, time.Now()
 	select {
 	case s.queue <- req:
@@ -416,23 +332,8 @@ func (s *Server) Submit(req *Request, done chan *Request) error {
 		return nil
 	default:
 		s.inflight.Done()
-		s.metrics.noteShed(req.Priority)
+		s.metrics.rejected.Add(1)
 		return ErrOverloaded
-	}
-}
-
-// shedLimit is the queue depth at or beyond which a class is refused:
-// half the queue for low, all but an eighth for normal, the full queue
-// for high. Tiny queues degenerate to the hard cap for every class.
-func (s *Server) shedLimit(p Priority) int {
-	c := cap(s.queue)
-	switch p {
-	case PriorityLow:
-		return max(1, c/2)
-	case PriorityNormal:
-		return max(max(1, c/2), c-c/8)
-	default:
-		return c
 	}
 }
 
@@ -442,14 +343,8 @@ func (s *Server) shedLimit(p Priority) int {
 // handler sits on; throughput-sensitive callers with many requests in
 // flight should use Submit.
 func (s *Server) Predict(features []float64) ([]float64, PredictInfo, error) {
-	return s.PredictPriority(features, PriorityNormal)
-}
-
-// PredictPriority is Predict with an explicit load-shedding class.
-func (s *Server) PredictPriority(features []float64, pri Priority) ([]float64, PredictInfo, error) {
 	w := syncReqPool.Get().(*syncReq)
 	w.req.Features = features
-	w.req.Priority = pri
 	if err := s.Submit(&w.req, w.done); err != nil {
 		syncReqPool.Put(w)
 		return nil, PredictInfo{}, err
@@ -484,32 +379,6 @@ var syncReqPool = sync.Pool{
 // QueueDepth reports how many admitted requests are waiting for a
 // batch right now.
 func (s *Server) QueueDepth() int { return len(s.queue) }
-
-// BatchKnobs reports the effective MaxBatch/MaxWait: the configured
-// values, or wherever the SLO controller has moved them.
-func (s *Server) BatchKnobs() (maxBatch int, maxWait time.Duration) {
-	return int(s.curMaxBatch.Load()), time.Duration(s.curMaxWaitNs.Load())
-}
-
-// setBatchKnobs clamps to [1, cfg.MaxBatch] and [0, cfg.MaxWait]: the
-// configured values are capacity ceilings (the replica input buffers
-// are sized to cfg.MaxBatch), the controller only moves below them.
-func (s *Server) setBatchKnobs(maxBatch int, maxWait time.Duration) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	if maxBatch > s.cfg.MaxBatch {
-		maxBatch = s.cfg.MaxBatch
-	}
-	if maxWait < 0 {
-		maxWait = 0
-	}
-	if maxWait > s.cfg.MaxWait {
-		maxWait = s.cfg.MaxWait
-	}
-	s.curMaxBatch.Store(int64(maxBatch))
-	s.curMaxWaitNs.Store(int64(maxWait))
-}
 
 // Generation returns the epoch and step of the checkpoint currently
 // serving.

@@ -268,6 +268,59 @@ func TestOverloadRejects(t *testing.T) {
 	}
 }
 
+// TestAdmitUntilQueueFull: admission has one tier. With the pipeline
+// wedged, every request is admitted until the queue is physically
+// full, and only the next one is refused.
+func TestAdmitUntilQueueFull(t *testing.T) {
+	dir := t.TempDir()
+	writeCkpt(t, dir, 1, 42)
+	cfg := testConfig(dir)
+	cfg.Replicas = 1
+	cfg.MaxBatch = 1
+	cfg.QueueDepth = 8
+	s := newTestServer(t, cfg)
+
+	entered := make(chan struct{}, 16) // every batch signals, incl. post-release ones
+	release := make(chan struct{})
+	s.testHookForward = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	rng := rand.New(rand.NewSource(11))
+	done := make(chan *Request, 16)
+	submit := func() error { return s.Submit(&Request{Features: row(rng)}, done) }
+
+	// Wedge the pipeline: r1 holds the only replica, r2's batch blocks
+	// waiting for it, leaving the queue itself empty.
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.metrics.Requests() == 2 && s.QueueDepth() == 0 })
+
+	for i := 0; i < cfg.QueueDepth; i++ {
+		if err := submit(); err != nil {
+			t.Fatalf("rejected at depth %d of %d: %v", s.QueueDepth(), cfg.QueueDepth, err)
+		}
+	}
+	if err := submit(); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("at depth %d: got %v, want ErrOverloaded", s.QueueDepth(), err)
+	}
+	if got := s.metrics.Rejected(); got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+
+	close(release)
+	for i := 0; i < 2+cfg.QueueDepth; i++ { // the 2 wedge requests + the queued admits
+		if req := <-done; req.Err != nil {
+			t.Fatal(req.Err)
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

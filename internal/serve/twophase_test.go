@@ -172,35 +172,3 @@ func TestHTTPReloadControlPlane(t *testing.T) {
 	getJSON("/reload/stage", http.StatusMethodNotAllowed)
 	post("/ckpt/latest", "", http.StatusMethodNotAllowed)
 }
-
-// TestHTTPPriority: the wire carries the shed class — body field,
-// header override, and typed rejection of unknown names.
-func TestHTTPPriority(t *testing.T) {
-	dir := t.TempDir()
-	writeCkpt(t, dir, 1, 42)
-	s := newTestServer(t, testConfig(dir))
-	url := startHTTP(t, s)
-
-	resp, decoded := postPredict(t, url, `{"features":[1,2,3,4,5,6],"priority":"high"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("priority=high: %d %v", resp.StatusCode, decoded)
-	}
-	resp, decoded = postPredict(t, url, `{"features":[1,2,3,4,5,6],"priority":"urgent"}`)
-	if resp.StatusCode != http.StatusBadRequest || decoded["code"] != "bad_priority" {
-		t.Fatalf("priority=urgent: %d %v", resp.StatusCode, decoded)
-	}
-
-	req, _ := http.NewRequest(http.MethodPost, url+"/predict",
-		bytes.NewReader([]byte(`{"features":[1,2,3,4,5,6]}`)))
-	req.Header.Set("X-Priority", "bogus")
-	hr, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var m map[string]any
-	_ = json.NewDecoder(hr.Body).Decode(&m)
-	if hr.StatusCode != http.StatusBadRequest || m["code"] != "bad_priority" {
-		t.Fatalf("X-Priority=bogus: %d %v", hr.StatusCode, m)
-	}
-}

@@ -160,95 +160,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Delta returns the observations recorded between prev and s as a
-// snapshot of their own: bucket counts, total count, and sum are
-// differenced, while Min/Max keep s's all-time values (a histogram
-// does not remember per-window extremes). prev must be an earlier
-// snapshot of the same histogram; a shape mismatch returns s
-// unchanged, which degrades to all-time statistics rather than
-// misreporting.
-func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
-	if len(prev.Counts) != len(s.Counts) || prev.Count > s.Count {
-		return s
-	}
-	d := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Count:  s.Count - prev.Count,
-		Sum:    s.Sum - prev.Sum,
-		Min:    s.Min,
-		Max:    s.Max,
-	}
-	for i := range s.Counts {
-		if s.Counts[i] < prev.Counts[i] {
-			return s
-		}
-		d.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return d
-}
-
-// Quantile returns the same upper-bound q-quantile estimate
-// Histogram.Quantile computes, over the snapshot's counts. Combined
-// with Delta it yields windowed quantiles — the p99 of just the
-// observations since the previous snapshot — which is what an SLO
-// controller or a benchmark window needs, where the all-time quantile
-// would be dominated by history.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return s.Max
-		}
-	}
-	return s.Max
-}
-
-// Mean returns the snapshot's mean observation (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Window turns successive snapshots of one histogram into
-// per-interval deltas: each Advance returns what was observed since
-// the previous Advance (or since NewWindow). One Window per consumer —
-// it holds the consumer's private previous snapshot.
-type Window struct {
-	h    *Histogram
-	prev HistogramSnapshot
-}
-
-// NewWindow starts a window over h at its current state.
-func NewWindow(h *Histogram) *Window {
-	return &Window{h: h, prev: h.Snapshot()}
-}
-
-// Advance returns the observations since the previous Advance and
-// moves the window forward.
-func (w *Window) Advance() HistogramSnapshot {
-	cur := w.h.Snapshot()
-	d := cur.Delta(w.prev)
-	w.prev = cur
-	return d
-}

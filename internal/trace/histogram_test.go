@@ -75,73 +75,6 @@ func TestHistogramEmptyAndNaN(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaQuantile: a window's quantile reflects only the
-// observations inside the window, not the history before it.
-func TestSnapshotDeltaQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8)
-	// History: 1000 fast observations that would dominate an all-time
-	// quantile.
-	for i := 0; i < 1000; i++ {
-		h.Observe(0.5)
-	}
-	pre := h.Snapshot()
-	// Window: 90 slow-ish, 10 slow.
-	for i := 0; i < 90; i++ {
-		h.Observe(3)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(5)
-	}
-	d := h.Snapshot().Delta(pre)
-	if d.Count != 100 {
-		t.Fatalf("window count = %d, want 100", d.Count)
-	}
-	if got := d.Quantile(0.5); got != 4 {
-		t.Errorf("window p50 = %v, want 4", got)
-	}
-	if got := d.Quantile(0.99); got != 8 {
-		t.Errorf("window p99 = %v, want 8", got)
-	}
-	if got := d.Mean(); math.Abs(got-3.2) > 1e-9 {
-		t.Errorf("window mean = %v, want 3.2", got)
-	}
-	// All-time p50 is still in the fast bucket — the window isolated
-	// the recent behavior.
-	if got := h.Quantile(0.5); got != 1 {
-		t.Errorf("all-time p50 = %v, want 1", got)
-	}
-}
-
-func TestSnapshotDeltaMismatchedShapes(t *testing.T) {
-	a := NewHistogram(1, 2).Snapshot()
-	b := NewHistogram(1, 2, 4)
-	b.Observe(1.5)
-	got := b.Snapshot().Delta(a)
-	if got.Count != 1 {
-		t.Fatalf("mismatched shapes should fall back to the current snapshot, got %+v", got)
-	}
-}
-
-func TestWindowAdvance(t *testing.T) {
-	h := NewHistogram(1, 2, 4)
-	h.Observe(0.5)
-	w := NewWindow(h)
-	h.Observe(3)
-	h.Observe(3)
-	d := w.Advance()
-	if d.Count != 2 || d.Quantile(0.99) != 4 {
-		t.Fatalf("first window = count %d p99 %v, want 2/4", d.Count, d.Quantile(0.99))
-	}
-	// Nothing new: the next window is empty.
-	if d := w.Advance(); d.Count != 0 || d.Quantile(0.5) != 0 {
-		t.Fatalf("empty window = %+v, want zero", d)
-	}
-	h.Observe(0.5)
-	if d := w.Advance(); d.Count != 1 || d.Quantile(0.99) != 1 {
-		t.Fatalf("third window = count %d, want 1", d.Count)
-	}
-}
-
 func TestExponentialBounds(t *testing.T) {
 	b := ExponentialBounds(0.001, 2, 4)
 	want := []float64{0.001, 0.002, 0.004, 0.008}
